@@ -214,7 +214,6 @@ def dim(family: str, n: int, weight: tuple[int, ...], method: str = "polytope") 
 def qdim(family: str, n: int, weight: tuple[int, ...]) -> QPolynomial:
     """Graded dimension sum over lattice points of q^deg(s)."""
     out = QPolynomial()
-    poset = build_poset(family, n)
     for s in lattice_points(family, n, tuple(weight)):
         out.add_term(sum(s))
     return out

@@ -51,6 +51,19 @@ def _weight_arg(text: str) -> tuple[int, ...]:
     return weight
 
 
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _dump(data) -> None:
     print(json.dumps(data))
 
@@ -344,6 +357,17 @@ def _add_weight(parser):
     )
 
 
+def _add_sweep_bounds(parser, max_k_help="largest k"):
+    # A sweep over an empty range would check nothing and still pass.
+    parser.add_argument(
+        "--max-coeff", type=_int_at_least(0), default=2,
+        help="largest coefficient entry",
+    )
+    parser.add_argument(
+        "--max-k", type=_int_at_least(1), default=3, help=max_k_help
+    )
+
+
 def _add_format(parser, choices=("json", "text")):
     parser.add_argument(
         "--format",
@@ -429,10 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("n1", help="rank-one family attachment report")
-    p.add_argument("--max-k", type=int, default=3, help="largest k")
-    p.add_argument(
-        "--max-coeff", type=int, default=2, help="largest coefficient entry"
-    )
+    _add_sweep_bounds(p)
     _add_format(p)
     p.set_defaults(func=_cmd_n1)
 
@@ -440,12 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=VERIFY_TARGETS)
     _add_family(p)
     p.add_argument("--n", type=int, default=1, help="rank (default %(default)s)")
-    p.add_argument(
-        "--max-coeff", type=int, default=2, help="largest coefficient entry"
-    )
-    p.add_argument(
-        "--max-k", type=int, default=3, help="largest k (n1-formula only)"
-    )
+    _add_sweep_bounds(p, "largest k (n1-formula only)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

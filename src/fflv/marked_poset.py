@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .polytope import Counterexample, lattice_points
-from .rootsys import RootLabel, _check_family, _start_labels, build_poset
+from .polytope import Counterexample, lattice_points, slack_search
+from .rootsys import RootLabel, build_poset, check_weight, fflv_markings
 
 
 def _element_name(e) -> str:
@@ -228,40 +228,19 @@ def chain_constraints(poset: MarkedPoset) -> tuple[tuple[frozenset, int], ...]:
 def chain_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
     """Nonnegative labellings of the unmarked elements within every chain bound.
 
-    Each point is a tuple over the unmarked elements in canonical order.
+    Each point is a tuple over the unmarked elements in canonical order,
+    and the points come out in lexicographic order.
     """
     _require_marked_extremes(poset)
     coords = poset.unmarked
     rows = chain_constraints(poset)
-    by_coord: list[list[int]] = [[] for _ in coords]
-    slack = [bound for _, bound in rows]
-    for r, (support, _) in enumerate(rows):
-        for i, e in enumerate(coords):
-            if e in support:
-                by_coord[i].append(r)
-    point = [0] * len(coords)
-    points: list[tuple[int, ...]] = []
-
-    def walk(i: int) -> None:
-        if i == len(coords):
-            points.append(tuple(point))
-            return
-        cap = min((slack[r] for r in by_coord[i]), default=None)
-        if cap is None:
-            raise ValueError(
-                f"element {_element_name(coords[i])} lies on no marked chain"
-            )
-        for v in range(cap + 1):
-            point[i] = v
-            for r in by_coord[i]:
-                slack[r] -= v
-            walk(i + 1)
-            for r in by_coord[i]:
-                slack[r] += v
-        point[i] = 0
-
-    walk(0)
-    return tuple(sorted(points))
+    by_coord = [
+        [r for r, (support, _) in enumerate(rows) if e in support] for e in coords
+    ]
+    for e, on in zip(coords, by_coord):
+        if not on:
+            raise ValueError(f"element {_element_name(e)} lies on no marked chain")
+    return slack_search(by_coord, [bound for _, bound in rows])
 
 
 def transfer(poset: MarkedPoset, x) -> tuple[int, ...]:
@@ -307,38 +286,29 @@ def abs_verify(poset: MarkedPoset) -> Counterexample | None:
 def fflv_marked_poset(family: str, n: int, weight: tuple[int, ...]) -> MarkedPoset:
     """Root poset with cumulative-sum markings realizing the polytope.
 
-    Below the initial root of row i sits a marked t_i with marking
-    m_1 + ... + m_{i-1}; above each diagonal root (j,j) a marked u_j with
-    marking m_1 + ... + m_j; above each antidiagonal root (j,jbar) a marked
-    v_j with marking m_1 + ... + m_n.  Saturated marked-to-marked chains are
-    then exactly the Dyck paths, and the marking differences telescope to
-    the path bounds, so the chain polytope coincides with the inequality
-    system of the family.
+    The markings are those of `rootsys.fflv_markings`: t_i below the initial
+    root of row i, u_j above each diagonal root (j,j) and v_j above each
+    antidiagonal root (j,jbar).  Saturated marked-to-marked chains are then
+    exactly the Dyck paths, and the marking differences telescope to the
+    path bounds, so the chain polytope coincides with the inequality system
+    of the family.
     """
-    _check_family(family)
-    if len(weight) != n:
-        raise ValueError("weight length must equal the rank")
-    if any(m < 0 for m in weight):
-        raise ValueError("fundamental coordinates must be nonnegative")
+    weight = check_weight(family, n, weight)
     root_poset = build_poset(family, n)
     labels = root_poset.labels()
     covers = [
         (labels[a], labels[b]) for a, b in root_poset.covers
     ]
-    total = sum(weight)
-    marked: list[tuple] = []
-    for i, start in enumerate(_start_labels(family, n), start=1):
-        marked.append((("t", i), sum(weight[: i - 1])))
-        covers.append(((("t", i)), start))
-    diag_max = n if family == "odd" else n - 1
-    for j in range(1, diag_max + 1):
-        marked.append((("u", j), sum(weight[:j])))
-        covers.append((RootLabel(j, j, False), ("u", j)))
-    for j in range(1, n + 1):
-        marked.append((("v", j), total))
-        covers.append((RootLabel(j, j, True), ("v", j)))
-    elements = tuple(labels) + tuple(e for e, _ in marked)
-    return MarkedPoset(elements, tuple(covers), tuple(marked))
+    marks = fflv_markings(family, n, weight)
+    for mark in marks:
+        if mark.below:
+            covers.append((mark.element, mark.root))
+        else:
+            covers.append((mark.root, mark.element))
+    elements = tuple(labels) + tuple(mark.element for mark in marks)
+    return MarkedPoset(
+        elements, tuple(covers), tuple((mark.element, mark.value) for mark in marks)
+    )
 
 
 def n1_formula(k: int, m: tuple[int, ...]) -> int:

@@ -1,10 +1,17 @@
 """Inequality systems and exact lattice-point enumeration for FFLV polytopes.
 
 One inequality per symplectic Dyck path: the coordinates along the path sum
-to at most the path bound.  All arithmetic is exact integer arithmetic; the
-enumerator is a depth-first search over coordinates in canonical root order
-with per-row remaining-slack pruning, so points come out in lexicographic
-order with no floating point involved.
+to at most the path bound.  All arithmetic is exact integer arithmetic.
+
+`lattice_points` enumerates through the marked order polytope of the root
+poset (`rootsys.fflv_markings`): it walks the roots in canonical row-major
+order, a linear extension, giving each root an order value between the
+largest value below it and the least marking above it, and emits the chain
+coordinates value - (largest value below), which is the transfer map onto
+the polytope.  Every such value extends to a full point, so the walk never
+backtracks, and points come out in lexicographic order.  It builds no Dyck
+path.  `enumerate_points` is the independent oracle: a depth-first search
+over the path inequalities with per-row remaining-slack pruning.
 """
 
 from __future__ import annotations
@@ -18,9 +25,10 @@ from .rootsys import (
     LatticePoint,
     RootLabel,
     RootPoset,
-    _check_family,
     build_poset,
+    check_weight,
     dyck_paths,
+    fflv_markings,
     path_bound,
 )
 
@@ -73,17 +81,13 @@ class InequalitySystem:
 
 def inequalities(family: str, n: int, weight: tuple[int, ...]) -> InequalitySystem:
     """Build the inequality system for lambda = sum m_i omega_i."""
-    _check_family(family)
-    if len(weight) != n:
-        raise ValueError("weight length must equal the rank")
-    if any(m < 0 for m in weight):
-        raise ValueError("fundamental coordinates must be nonnegative")
+    weight = check_weight(family, n, weight)
     poset = build_poset(family, n)
     paths = dyck_paths(poset)
     rows = tuple(
         IneqRow(frozenset(p.labels), path_bound(p, weight)) for p in paths
     )
-    return InequalitySystem(family, n, tuple(weight), rows, paths, poset)
+    return InequalitySystem(family, n, weight, rows, paths, poset)
 
 
 def contains(system: InequalitySystem, s: LatticePoint) -> bool:
@@ -109,11 +113,14 @@ def violated_paths(system: InequalitySystem, s: LatticePoint) -> tuple[DyckPath,
     return tuple(out)
 
 
-def enumerate_points(system: InequalitySystem) -> tuple[LatticePoint, ...]:
-    """All lattice points, in lexicographic order of the canonical coordinates."""
-    ncoord = len(system.poset.roots)
-    slack = [row.bound for row in system.rows]
-    by_coord = system._rows_by_coord
+def slack_search(by_coord, bounds) -> tuple[LatticePoint, ...]:
+    """Nonnegative integer points whose sum over each row r is at most bounds[r].
+
+    ``by_coord[k]`` lists the rows whose support holds coordinate k; every
+    coordinate must lie on some row.  Points come out in lexicographic order.
+    """
+    ncoord = len(by_coord)
+    slack = list(bounds)
     value = [0] * ncoord
     out: list[LatticePoint] = []
 
@@ -137,10 +144,77 @@ def enumerate_points(system: InequalitySystem) -> tuple[LatticePoint, ...]:
     return tuple(out)
 
 
+def enumerate_points(system: InequalitySystem) -> tuple[LatticePoint, ...]:
+    """All lattice points, in lexicographic order of the canonical coordinates."""
+    return slack_search(system._rows_by_coord, [row.bound for row in system.rows])
+
+
 @lru_cache(maxsize=128)
-def lattice_points(family: str, n: int, weight: tuple[int, ...]) -> tuple[LatticePoint, ...]:
-    """Cached convenience wrapper: points of the polytope for (family, n, weight)."""
-    return enumerate_points(inequalities(family, n, weight))
+def _walk_points(family: str, n: int, weight: tuple[int, ...]) -> tuple[LatticePoint, ...]:
+    """Chain coordinates of the marked order points, by an iterative walk.
+
+    The root order is a linear extension, so when root k is reached every
+    predecessor holds its value.  An odometer advances the last root still
+    below its bound and resets the roots after it to their lows; it does not
+    recurse, since the number of roots can exceed the recursion limit.
+    """
+    poset = build_poset(family, n)
+    ncoord = len(poset.roots)
+    row_floor = {}
+    cap = [None] * ncoord
+    for mark in fflv_markings(family, n, weight):
+        if mark.below:
+            row_floor[mark.root.row] = mark.value
+        else:
+            cap[poset.index(mark.root)] = mark.value
+    floor = [row_floor[root.label.row] for root in poset.roots]
+    preds = [poset.predecessors(k) for k in range(ncoord)]
+    # Least marking weakly above each root; covers point forward in root order.
+    up = [0] * ncoord
+    for k in reversed(range(ncoord)):
+        above = [up[q] for q in poset.successors(k)]
+        if cap[k] is not None:
+            above.append(cap[k])
+        up[k] = min(above)
+
+    x = [0] * ncoord        # order values
+    s = [0] * ncoord        # chain coordinates x[k] - low(k)
+
+    def reset(start: int) -> None:
+        for k in range(start, ncoord):
+            low = floor[k]
+            for q in preds[k]:
+                if x[q] > low:
+                    low = x[q]
+            x[k] = low
+            s[k] = 0
+
+    reset(0)
+    out: list[LatticePoint] = []
+    while True:
+        out.append(tuple(s))
+        k = ncoord - 1
+        while k >= 0 and x[k] == up[k]:
+            k -= 1
+        if k < 0:
+            return tuple(out)
+        x[k] += 1
+        s[k] += 1
+        reset(k + 1)
+
+
+def lattice_points(family: str, n: int, weight) -> tuple[LatticePoint, ...]:
+    """Points of the polytope for (family, n, weight), in lexicographic order.
+
+    The weight may be any sequence; it is validated and made a tuple before
+    the cache lookup.  Results are cached.
+    """
+    return _walk_points(family, n, check_weight(family, n, weight))
+
+
+# The cache controls, for callers that start each run from an empty cache.
+lattice_points.cache_clear = _walk_points.cache_clear
+lattice_points.cache_info = _walk_points.cache_info
 
 
 class Counterexample(NamedTuple):

@@ -30,6 +30,17 @@ def _check_family(family: str) -> None:
         raise ValueError(f"unknown family {family!r}")
 
 
+def check_weight(family: str, n: int, weight) -> tuple[int, ...]:
+    """Validate fundamental coordinates m_1, ..., m_n and return them as a tuple."""
+    _check_family(family)
+    weight = tuple(weight)
+    if len(weight) != n:
+        raise ValueError("weight length must equal the rank")
+    if any(m < 0 for m in weight):
+        raise ValueError("fundamental coordinates must be nonnegative")
+    return weight
+
+
 class RootLabel(NamedTuple):
     """Poset position (row, col); barred marks the second half of the alphabet."""
 
@@ -262,14 +273,45 @@ def path_bound(path: DyckPath, weight: tuple[int, ...]) -> int:
     Diagonal end alpha_{j,j} gives m_i + ... + m_j, barred end alpha_{j,jbar}
     gives m_i + ... + m_n, where i is the start row.
     """
-    if len(weight) != path.n:
-        raise ValueError("weight length must equal the rank")
-    if any(m < 0 for m in weight):
-        raise ValueError("fundamental coordinates must be nonnegative")
+    weight = check_weight(path.family, path.n, weight)
     i = path.start_row
     if path.end_class == "diagonal":
         return sum(weight[i - 1 : path.end.col])
     return sum(weight[i - 1 :])
+
+
+class Marking(NamedTuple):
+    """A marked element of the FFLV marked poset and the root it is attached to."""
+
+    element: tuple      # ("t", i), ("u", j) or ("v", j)
+    value: int
+    root: RootLabel
+    below: bool         # True for t_i, which sits below its root
+
+
+def fflv_markings(family: str, n: int, weight: tuple[int, ...]) -> tuple[Marking, ...]:
+    """Cumulative-sum markings that realize the polytope as a marked chain polytope.
+
+    Below the initial root of row i sits t_i with marking m_1 + ... + m_{i-1};
+    above each diagonal root (j,j) sits u_j with marking m_1 + ... + m_j;
+    above each barred root (j,jbar) sits v_j with marking m_1 + ... + m_n.
+    The marking differences along a Dyck path telescope to its path bound.
+    """
+    diag_max = n if family == ODD else n - 1
+    total = sum(weight)
+    marks = [
+        Marking(("t", i), sum(weight[: i - 1]), start, True)
+        for i, start in enumerate(_start_labels(family, n), start=1)
+    ]
+    marks += [
+        Marking(("u", j), sum(weight[:j]), RootLabel(j, j, False), False)
+        for j in range(1, diag_max + 1)
+    ]
+    marks += [
+        Marking(("v", j), total, RootLabel(j, j, True), False)
+        for j in range(1, n + 1)
+    ]
+    return tuple(marks)
 
 
 def wt_deg(poset: RootPoset, s: LatticePoint) -> tuple[Weight, int]:

@@ -166,6 +166,20 @@ def test_usage_errors():
     assert exc.value.code == 2
 
 
+def test_empty_sweeps_are_usage_errors(capsys):
+    # Bounds that leave nothing to check must not report a pass.
+    for argv in (
+        ["verify", "slice", "--n", "2", "--max-coeff", "-1"],
+        ["verify", "n1-formula", "--max-k", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be at least" in err
+
+
 def test_library_errors_exit_2(capsys):
     code, _, err = run(capsys, "points", "--family", "odd", "--n", "2",
                        "--weight", "1")

@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fflv.characters import dim
 from fflv.polytope import (
     contains,
     counts_to_csv,
@@ -94,6 +97,58 @@ def test_enumeration_matches_box_filter():
         assert list(got) == sorted(got)
         assert len(set(got)) == len(got)
         assert tuple(enumerate_points(system)) == got
+
+
+def test_walk_matches_slack_search_sweep():
+    # Both families: every weight in {0,1}^n for n <= 4 and in {0..2}^n for
+    # n <= 2, compared as ordered tuples with the path-inequality search.
+    for family in ("odd", "even"):
+        for n in range(1, 5):
+            top = 2 if n <= 2 else 1
+            for weight in product(range(top + 1), repeat=n):
+                system = inequalities(family, n, weight)
+                assert lattice_points(family, n, weight) == enumerate_points(system)
+
+
+@st.composite
+def family_rank_weight(draw):
+    family = draw(st.sampled_from(("odd", "even")))
+    n = draw(st.integers(1, 3))
+    top = {1: 6, 2: 3, 3: 1}[n]
+    weight = tuple(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+    return family, n, weight
+
+
+@settings(deadline=None, database=None)
+@given(family_rank_weight())
+def test_walk_matches_oracles_property(case):
+    family, n, weight = case
+    system = inequalities(family, n, weight)
+    points = lattice_points(family, n, weight)
+    assert points == enumerate_points(system)
+    assert all(contains(system, p) for p in points)
+
+
+def test_lattice_points_high_rank():
+    # 1260 roots: past the default recursion limit of a per-root search.
+    n = 35
+    zero = (0,) * n
+    assert lattice_points("odd", n, zero) == ((0,) * (n * (n + 1)),)
+    omega1 = (1,) + (0,) * (n - 1)
+    points = lattice_points("odd", n, omega1)
+    assert len(points) == 71 == dim("odd", n, omega1, method="branching")
+
+
+def test_lattice_points_normalizes_weight():
+    assert lattice_points("odd", 2, [1, 1]) == lattice_points("odd", 2, (1, 1))
+    assert len(lattice_points("odd", 2, [1, 1])) == 35
+    for family, n, weight in (
+        ("neither", 2, (1, 1)),
+        ("odd", 2, (1,)),
+        ("odd", 2, [1, -1]),
+    ):
+        with pytest.raises(ValueError):
+            lattice_points(family, n, weight)
 
 
 def test_point_counts_frozen():
