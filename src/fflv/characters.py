@@ -19,8 +19,8 @@ from itertools import product
 from .polytope import lattice_points
 from .rootsys import (
     Weight,
-    _check_family,
     build_poset,
+    check_weight,
     fundamental_from_partition,
     fundamental_to_eps,
     partition_from_fundamental,
@@ -152,10 +152,11 @@ def qchar_polytope(family: str, n: int, weight: tuple[int, ...]) -> GradedCharac
     the dimension of that weight space in F_d / F_(d-1), where F_d is spanned
     by at most d lowering operators applied to the highest weight vector.
     """
+    weight = check_weight(family, n, weight)
     poset = build_poset(family, n)
-    lam_eps = fundamental_to_eps(tuple(weight))
+    lam_eps = fundamental_to_eps(weight)
     char = GradedCharacter()
-    for s in lattice_points(family, n, tuple(weight)):
+    for s in lattice_points(family, n, weight):
         wt, deg = wt_deg(poset, s)
         char.add_term(tuple(a - b for a, b in zip(lam_eps, wt)), deg)
     return char
@@ -168,13 +169,12 @@ def qchar_branching(n: int, weight: tuple[int, ...]) -> GradedCharacter:
     subtracting in partition coordinates; subtracting in fundamental
     coordinates gives wrong counts already at n = 2, lambda = omega_2.
     """
-    if len(weight) != n:
-        raise ValueError("weight length must equal the rank")
-    lam_eps = fundamental_to_eps(tuple(weight))
-    lam_part = partition_from_fundamental(tuple(weight))
+    weight = check_weight("odd", n, weight)
+    lam_eps = fundamental_to_eps(weight)
+    lam_part = partition_from_fundamental(weight)
     even_poset = build_poset("even", n)
     char = GradedCharacter()
-    for mut in delta_set(tuple(weight)):
+    for mut in delta_set(weight):
         sub = fundamental_from_partition(
             tuple(a - b for a, b in zip(lam_part, mut))
         )
@@ -194,26 +194,25 @@ def qchar_branching(n: int, weight: tuple[int, ...]) -> GradedCharacter:
 
 def dim(family: str, n: int, weight: tuple[int, ...], method: str = "polytope") -> int:
     """Dimension by lattice-point count, branching sum, or Weyl formula."""
-    _check_family(family)
-    if len(weight) != n:
-        raise ValueError("weight length must equal the rank")
+    weight = check_weight(family, n, weight)
     if method == "polytope":
-        return len(lattice_points(family, n, tuple(weight)))
+        return len(lattice_points(family, n, weight))
     if method == "branching":
         if family != "odd":
             raise ValueError("branching dimension is defined for the odd family")
-        part = partition_from_fundamental(tuple(weight))
+        part = partition_from_fundamental(weight)
         return sum(weyl_dim(n, mu) for mu in interlace_set(part))
     if method == "weyl":
         if family != "even":
             raise ValueError("the Weyl formula applies to the even family")
-        return weyl_dim(n, partition_from_fundamental(tuple(weight)))
+        return weyl_dim(n, partition_from_fundamental(weight))
     raise ValueError(f"unknown method {method!r}")
 
 
 def qdim(family: str, n: int, weight: tuple[int, ...]) -> QPolynomial:
     """Graded dimension sum over lattice points of q^deg(s)."""
+    weight = check_weight(family, n, weight)
     out = QPolynomial()
-    for s in lattice_points(family, n, tuple(weight)):
+    for s in lattice_points(family, n, weight):
         out.add_term(sum(s))
     return out

@@ -55,6 +55,12 @@ class MarkedPoset:
     _succ: dict = field(init=False, repr=False, compare=False)
     _pred: dict = field(init=False, repr=False, compare=False)
     _topo: tuple = field(init=False, repr=False, compare=False)
+    # Index arrays for `transfer`: unmarked elements, (index, marking) pairs,
+    # cover index pairs, and (index, predecessor indices) per unmarked element.
+    _unmarked: tuple = field(init=False, repr=False, compare=False)
+    _marked_idx: tuple = field(init=False, repr=False, compare=False)
+    _cover_idx: tuple = field(init=False, repr=False, compare=False)
+    _unmarked_preds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {e: i for i, e in enumerate(self.elements)}
@@ -76,6 +82,19 @@ class MarkedPoset:
         object.__setattr__(self, "_pred", pred)
         object.__setattr__(self, "_topo", self._toposort())
         self._check_monotone_markings()
+        unmarked = tuple(e for e in self.elements if e not in marking)
+        object.__setattr__(self, "_unmarked", unmarked)
+        object.__setattr__(
+            self, "_marked_idx", tuple((index[e], v) for e, v in marking.items())
+        )
+        object.__setattr__(
+            self, "_cover_idx", tuple((index[a], index[b]) for a, b in self.covers)
+        )
+        object.__setattr__(
+            self,
+            "_unmarked_preds",
+            tuple((index[e], tuple(index[q] for q in pred[e])) for e in unmarked),
+        )
 
     def _toposort(self) -> tuple:
         indeg = {e: len(self._pred[e]) for e in self.elements}
@@ -115,7 +134,7 @@ class MarkedPoset:
 
     @property
     def unmarked(self) -> tuple:
-        return tuple(e for e in self.elements if e not in self._marking)
+        return self._unmarked
 
     def marking_of(self, e):
         return self._marking[e]
@@ -250,19 +269,34 @@ def transfer(poset: MarkedPoset, x) -> tuple[int, ...]:
     from elements to values.  The value of an unmarked element p becomes
     x_p - max over covers q of p of x_q.
     """
-    if not isinstance(x, dict):
+    if isinstance(x, dict):
+        for e, v in poset._marking.items():
+            if x.get(e) != v:
+                raise ValueError(f"marked element {_element_name(e)} must equal {v}")
+        x = tuple(x[e] for e in poset.elements)
+    else:
         if len(x) != len(poset.elements):
             raise ValueError("order point has the wrong length")
-        x = dict(zip(poset.elements, x))
-    for e, v in poset._marking.items():
-        if x.get(e) != v:
-            raise ValueError(f"marked element {_element_name(e)} must equal {v}")
-    for a, b in poset.covers:
+        for i, v in poset._marked_idx:
+            if x[i] != v:
+                raise ValueError(
+                    f"marked element {_element_name(poset.elements[i])} must equal {v}"
+                )
+    for a, b in poset._cover_idx:
         if x[a] > x[b]:
             raise ValueError("labelling is not monotone; not an order point")
-    return tuple(
-        x[e] - max(x[q] for q in poset.predecessors(e)) for e in poset.unmarked
-    )
+    out = []
+    for i, preds in poset._unmarked_preds:
+        if not preds:
+            raise ValueError(
+                f"unmarked element {_element_name(poset.elements[i])} has no predecessor"
+            )
+        low = x[preds[0]]
+        for q in preds:
+            if x[q] > low:
+                low = x[q]
+        out.append(x[i] - low)
+    return tuple(out)
 
 
 def abs_verify(poset: MarkedPoset) -> Counterexample | None:

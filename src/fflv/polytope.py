@@ -12,6 +12,11 @@ the polytope.  Every such value extends to a full point, so the walk never
 backtracks, and points come out in lexicographic order.  It builds no Dyck
 path.  `enumerate_points` is the independent oracle: a depth-first search
 over the path inequalities with per-row remaining-slack pruning.
+
+`minkowski_verify` checks P(lam) + P(mu) = P(lam + mu) on integer codes:
+each point is read as a mixed-radix number whose radix exceeds every
+coordinate of P(lam + mu), so a sum of points is one integer addition and
+the sumset is a set of ints.
 """
 
 from __future__ import annotations
@@ -225,25 +230,61 @@ class Counterexample(NamedTuple):
         return {"kind": self.kind, "point": list(self.point)}
 
 
+def _encode(points, radix: int, top: int) -> list[int]:
+    """Mixed-radix codes sum s_k * radix^(N-1-k), first coordinate most significant.
+
+    Every coordinate must lie in [0, top]; the caller picks top < radix.
+    """
+    if any(not 0 <= x <= top for x in set().union(*points)):
+        raise ArithmeticError(
+            f"a coordinate lies outside [0, {top}]; radix {radix} would carry"
+        )
+    codes = []
+    for p in points:
+        c = 0
+        for x in p:
+            c = c * radix + x
+        codes.append(c)
+    return codes
+
+
+def _decode(code: int, radix: int, length: int) -> LatticePoint:
+    digits = [0] * length
+    for k in reversed(range(length)):
+        code, digits[k] = divmod(code, radix)
+    return tuple(digits)
+
+
 def minkowski_verify(
     family: str, n: int, lam: tuple[int, ...], mu: tuple[int, ...]
 ) -> Counterexample | None:
     """Check FFLV(lam) + FFLV(mu) = FFLV(lam + mu) on lattice points.
 
-    Returns None on success, otherwise the first missing or extra point in
-    lexicographic order.
+    Returns None on success, otherwise the lexicographically first missing
+    or extra point.  Points are compared as mixed-radix integers with radix
+    r = |lam| + |mu| + 1, the first coordinate most significant.  Every
+    coordinate of FFLV(lam) is at most |lam| (a v-marking minus a t-marking),
+    so p + q has all digits below r: integer addition is coordinate-wise
+    addition with no carry, and integer order is lexicographic order.  A
+    coordinate above |lam|, |mu| or |lam| + |mu| in its polytope raises
+    ArithmeticError, since the codes would then no longer add without carry.
     """
-    a = lattice_points(family, n, tuple(lam))
-    b = lattice_points(family, n, tuple(mu))
-    total = set(lattice_points(family, n, tuple(x + y for x, y in zip(lam, mu))))
-    sumset = {tuple(x + y for x, y in zip(p, q)) for p in a for q in b}
+    lam = check_weight(family, n, lam)
+    mu = check_weight(family, n, mu)
+    radix = sum(lam) + sum(mu) + 1
+    points = lattice_points(family, n, lam)
+    length = len(points[0])     # P(lam) always holds the zero point
+    a = _encode(points, radix, sum(lam))
+    b = _encode(lattice_points(family, n, mu), radix, sum(mu))
+    lam_mu = tuple(x + y for x, y in zip(lam, mu))
+    total = set(_encode(lattice_points(family, n, lam_mu), radix, radix - 1))
+    sumset = {x + y for x in a for y in b}
+    if sumset == total:
+        return None
     missing = total - sumset
     if missing:
-        return Counterexample("missing", min(missing))
-    extra = sumset - total
-    if extra:
-        return Counterexample("extra", min(extra))
-    return None
+        return Counterexample("missing", _decode(min(missing), radix, length))
+    return Counterexample("extra", _decode(min(sumset - total), radix, length))
 
 
 def slice_verify(n: int, lam: tuple[int, ...]) -> Counterexample | None:

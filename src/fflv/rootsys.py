@@ -16,6 +16,7 @@ k < n, alpha_n = 2 eps_n and alphatilde_{n+1} = eps_0 + eps_n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 EVEN = "even"
@@ -178,10 +179,19 @@ class RootPoset:
 
 
 def build_poset(family: str, n: int) -> RootPoset:
-    """Root poset of the given family and rank n >= 1."""
+    """Root poset of the given family and rank n >= 1.
+
+    The arguments are validated before the cache lookup; the poset is
+    frozen, so every caller shares one instance per (family, n).
+    """
     _check_family(family)
     if n < 1:
         raise ValueError("rank must be >= 1")
+    return _build_poset(family, n)
+
+
+@lru_cache(maxsize=64)
+def _build_poset(family: str, n: int) -> RootPoset:
     rows = _family_labels(family, n)
     labels = [lab for row in rows for lab in row]
     index = {lab: k for k, lab in enumerate(labels)}

@@ -63,6 +63,25 @@ def test_weyl_dim_rejects_bad_input():
         weyl_dim(2, (-1, -2))
 
 
+# Each public entry point as f(family, n, weight); branching is odd-only.
+WEIGHT_BOUNDARY = {
+    "dim": dim,
+    "qdim": qdim,
+    "qchar_polytope": qchar_polytope,
+    "qchar_branching": lambda family, n, weight: qchar_branching(n, weight),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_BOUNDARY))
+def test_weight_validated_at_boundary(name):
+    fn = WEIGHT_BOUNDARY[name]
+    assert fn("odd", 2, [1, 2]) == fn("odd", 2, (1, 2))
+    with pytest.raises(ValueError, match="weight length must equal the rank"):
+        fn("odd", 2, (1,))
+    with pytest.raises(ValueError, match="fundamental coordinates must be nonnegative"):
+        fn("odd", 2, [1, -1])
+
+
 def test_qchar_polytope_rank1():
     char = qchar_polytope("odd", 1, (1,))
     assert char.to_json() == [

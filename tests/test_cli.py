@@ -1,11 +1,14 @@
 """Command-line verbs, exit codes, and output determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fflv
 from fflv.characters import qchar_polytope
 from fflv.cli import main
 from fflv.marked_poset import n1_report
@@ -205,11 +208,16 @@ def test_deterministic_output(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the same fflv as this test, also when only pytest's
+    # pythonpath setting (not the environment) puts src on the path.
+    src = str(Path(fflv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "fflv.cli", "paths", "--family", "odd",
          "--n", "2", "--count"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "7"

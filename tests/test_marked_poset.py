@@ -97,6 +97,23 @@ def test_transfer_rejects_bad_points():
         transfer(poset, (0, 0, 0))
 
 
+def test_transfer_messages_and_mapping_input():
+    poset = fflv_marked_poset("odd", 1, (1,))
+    with pytest.raises(ValueError, match="not an order point"):
+        transfer(poset, (1, 0, 0, 1, 1))
+    with pytest.raises(ValueError, match="marked element t1 must equal 0"):
+        transfer(poset, (0, 0, 1, 1, 1))
+    with pytest.raises(ValueError, match="marked element t1 must equal 0"):
+        transfer(poset, {L(1, 1): 0, L(1, 1, True): 0, ("u", 1): 1, ("v", 1): 1})
+    with pytest.raises(ValueError, match="wrong length"):
+        transfer(poset, (0, 0, 0))
+    assert poset.unmarked == (L(1, 1), L(1, 1, True))
+    # A mapping and a tuple over the canonical order give the same image.
+    poset = fflv_marked_poset("odd", 2, (1, 1))
+    for x in order_points(poset):
+        assert transfer(poset, dict(zip(poset.elements, x))) == transfer(poset, x)
+
+
 def test_order_points_zero_weight():
     poset = fflv_marked_poset("even", 2, (0, 0))
     assert order_points(poset) == ((0,) * len(poset),)

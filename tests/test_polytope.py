@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fflv import polytope
 from fflv.characters import dim
 from fflv.polytope import (
+    Counterexample,
     contains,
     counts_to_csv,
     ehrhart_counts,
@@ -188,6 +190,129 @@ def test_minkowski_small_instances():
     assert minkowski_verify("odd", 1, (1,), (2,)) is None
     assert minkowski_verify("even", 2, (1, 0), (1, 1)) is None
     assert minkowski_verify("odd", 2, (1, 1), (2, 0)) is None
+
+
+def tuple_sumset_verify(family, n, lam, mu):
+    """Reference: the tuple sumset, one coordinate-wise sum per pair."""
+    a = polytope.lattice_points(family, n, tuple(lam))
+    b = polytope.lattice_points(family, n, tuple(mu))
+    total = set(polytope.lattice_points(
+        family, n, tuple(x + y for x, y in zip(lam, mu))))
+    sumset = {tuple(x + y for x, y in zip(p, q)) for p in a for q in b}
+    missing = total - sumset
+    if missing:
+        return Counterexample("missing", min(missing))
+    extra = sumset - total
+    if extra:
+        return Counterexample("extra", min(extra))
+    return None
+
+
+def patch_points(monkeypatch, weight, edit):
+    """Make polytope.lattice_points return edit(points) for one weight."""
+    real = polytope.lattice_points
+
+    def fake(family, n, w):
+        points = real(family, n, w)
+        return tuple(edit(list(points))) if tuple(w) == weight else points
+
+    monkeypatch.setattr(polytope, "lattice_points", fake)
+
+
+def test_minkowski_reports_extra_point(monkeypatch):
+    # Every point of P(lam + mu) is a sum, so a dropped one comes back as extra.
+    lam, mu = (1, 0), (0, 1)
+    points = lattice_points("odd", 2, (1, 1))
+    for dropped in points:
+        with monkeypatch.context() as m:
+            patch_points(m, (1, 1), lambda pts: [p for p in pts if p != dropped])
+            want = Counterexample("extra", dropped)
+            assert minkowski_verify("odd", 2, lam, mu) == want
+            assert tuple_sumset_verify("odd", 2, lam, mu) == want
+    # With several extra points, the lexicographically first is reported.
+    with monkeypatch.context() as m:
+        patch_points(m, (1, 1), lambda pts: pts[1:-1])
+        want = Counterexample("extra", points[0])
+        assert minkowski_verify("odd", 2, lam, mu) == want
+        assert tuple_sumset_verify("odd", 2, lam, mu) == want
+
+
+def test_minkowski_reports_missing_point(monkeypatch):
+    # Without (1,0) in P(1), (3,0) of P(3) is no sum of P(1) and P(2).
+    with monkeypatch.context() as m:
+        patch_points(m, (1,), lambda pts: [p for p in pts if p != (1, 0)])
+        want = Counterexample("missing", (3, 0))
+        assert minkowski_verify("odd", 1, (1,), (2,)) == want
+        assert tuple_sumset_verify("odd", 1, (1,), (2,)) == want
+    # Every single drop from P(lam) agrees with the reference.
+    lam, mu = (1, 1), (1, 0)
+    kinds = set()
+    for dropped in lattice_points("odd", 2, lam):
+        with monkeypatch.context() as m:
+            patch_points(m, lam, lambda pts: [p for p in pts if p != dropped])
+            got = minkowski_verify("odd", 2, lam, mu)
+            assert got == tuple_sumset_verify("odd", 2, lam, mu)
+            kinds.add(got and got.kind)
+    assert "missing" in kinds
+    # With P(lam) cut to its zero point the sumset is P(mu), and 85 points
+    # of P(lam + mu) go missing; the lexicographically first is reported.
+    with monkeypatch.context() as m:
+        patch_points(m, lam, lambda pts: pts[:1])
+        want = Counterexample("missing", (0, 0, 0, 0, 0, 1))
+        assert minkowski_verify("odd", 2, lam, mu) == want
+        assert tuple_sumset_verify("odd", 2, lam, mu) == want
+
+
+@pytest.mark.parametrize("bad", [(4, 0), (0, 7), (-1, 1)])
+def test_minkowski_rejects_digits_outside_radix(monkeypatch, bad):
+    # lam = (1,), mu = (2,): radix 4, so no digit may reach 4 or go negative.
+    for weight in ((1,), (2,), (3,)):
+        with monkeypatch.context() as m:
+            patch_points(m, weight, lambda pts: pts + [bad])
+            with pytest.raises(ArithmeticError):
+                minkowski_verify("odd", 1, (1,), (2,))
+
+
+def test_minkowski_rejects_digits_that_would_carry(monkeypatch):
+    # Radix 4: a digit 3 in P(lam) with lam = (1,) plus a digit 1 in P(mu)
+    # would carry, although 3 < 4.
+    with monkeypatch.context() as m:
+        patch_points(m, (1,), lambda pts: pts + [(3, 0)])
+        with pytest.raises(ArithmeticError):
+            minkowski_verify("odd", 1, (1,), (2,))
+
+
+@st.composite
+def minkowski_case(draw):
+    family = draw(st.sampled_from(("odd", "even")))
+    n = draw(st.integers(1, 3))
+    top = {1: 3, 2: 2, 3: 1}[n]
+    lam = tuple(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+    if n < 3:
+        mu = tuple(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+    else:
+        # Zero or one fundamental weight keeps the reference sumset small.
+        k = draw(st.integers(0, n))
+        mu = tuple(int(i == k - 1) for i in range(n))
+    return family, n, lam, mu
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(minkowski_case())
+def test_minkowski_matches_tuple_sumset(case):
+    family, n, lam, mu = case
+    got = minkowski_verify(family, n, lam, mu)
+    assert got is None
+    assert got == tuple_sumset_verify(family, n, lam, mu)
+
+
+def test_minkowski_validates_weights():
+    assert minkowski_verify("odd", 2, [1, 1], [2, 0]) is None
+    for lam, mu in (((1, -1), (0, 0)), ((0, 0), (-1, 2)), ((1,), (1, 1))):
+        with pytest.raises(ValueError):
+            minkowski_verify("odd", 2, lam, mu)
+    with pytest.raises(ValueError):
+        minkowski_verify("neither", 2, (1, 1), (1, 1))
 
 
 def test_slice_small_instances():

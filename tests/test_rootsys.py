@@ -237,3 +237,16 @@ def test_build_poset_rejects_bad_input():
         build_poset("unknown", 2)
     with pytest.raises(ValueError):
         build_poset("odd", 0)
+    # A cached good call for the family must not let a bad rank through.
+    for family in ("odd", "even"):
+        build_poset(family, 2)
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                build_poset(family, n)
+    with pytest.raises(ValueError):
+        build_poset("unknown", 2)
+
+
+def test_build_poset_is_shared():
+    assert build_poset("odd", 3) is build_poset("odd", 3)
+    assert build_poset("even", 3) is not build_poset("odd", 3)
