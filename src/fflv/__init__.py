@@ -26,7 +26,6 @@ from .rootsys import (
     dyck_paths,
     path_bound,
     wt_deg,
-    simple_roots_eps,
     fundamental_to_eps,
     partition_from_fundamental,
     fundamental_from_partition,
@@ -80,7 +79,6 @@ __all__ = [
     "dyck_paths",
     "path_bound",
     "wt_deg",
-    "simple_roots_eps",
     "fundamental_to_eps",
     "partition_from_fundamental",
     "fundamental_from_partition",

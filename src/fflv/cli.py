@@ -191,94 +191,73 @@ def _cmd_n1(args) -> int:
     return 0 if report["passing"] else 1
 
 
-def _verify_minkowski(args) -> int:
-    weights = _all_weights(args.n, args.max_coeff)
+def first_failure(cases) -> tuple[int, dict | None]:
+    """Run a sweep up to its first failure: (instances run, counterexample).
+
+    ``cases`` yields None for each passing instance and a counterexample
+    dict for a failing one.
+    """
     instances = 0
-    for lam, mu in combinations_with_replacement(weights, 2):
+    for case in cases:
         instances += 1
-        failure = minkowski_verify(args.family, args.n, lam, mu)
-        if failure is not None:
-            return _summary(
-                "minkowski",
-                instances,
-                {
-                    "family": args.family,
-                    "lambda": list(lam),
-                    "mu": list(mu),
-                    "kind": failure.kind,
-                    "point": list(failure.point),
-                },
-            )
-    return _summary("minkowski", instances, None)
+        if case is not None:
+            return instances, case
+    return instances, None
 
 
-def _verify_abs(args) -> int:
-    instances = 0
-    for weight in _all_weights(args.n, args.max_coeff):
-        instances += 1
-        failure = mp.abs_verify(mp.fflv_marked_poset(args.family, args.n, weight))
-        if failure is not None:
-            return _summary(
-                "abs",
-                instances,
-                {
-                    "family": args.family,
-                    "weight": list(weight),
-                    "kind": failure.kind,
-                    "point": list(failure.point),
-                },
-            )
-    return _summary("abs", instances, None)
+def _outcome(keys: dict, failure) -> dict | None:
+    """None for a pass, else the instance's keys and the failure's kind and point."""
+    if failure is None:
+        return None
+    return {**keys, "kind": failure.kind, "point": list(failure.point)}
 
 
-def _verify_slice(args) -> int:
-    instances = 0
-    for weight in _all_weights(args.n, args.max_coeff):
-        instances += 1
-        failure = slice_verify(args.n, weight)
-        if failure is not None:
-            return _summary(
-                "slice",
-                instances,
-                {
-                    "weight": list(weight),
-                    "kind": failure.kind,
-                    "point": list(failure.point),
-                },
-            )
-    return _summary("slice", instances, None)
+# One case generator per verify target, in the CLI's instance order.  The
+# checkers are looked up when called, so a wrapper installed on a module
+# binding sees every call.
 
 
-def _verify_qchar(args) -> int:
-    instances = 0
-    for weight in _all_weights(args.n, args.max_coeff):
-        instances += 1
-        a = qchar_polytope("odd", args.n, weight)
-        b = qchar_branching(args.n, weight)
-        if a != b:
-            diff = sorted(
-                w
-                for w in set(a.terms) | set(b.terms)
-                if a.terms.get(w) != b.terms.get(w)
-            )[0]
-            pa = a.terms.get(diff)
-            pb = b.terms.get(diff)
-            return _summary(
-                "qchar",
-                instances,
-                {
-                    "weight": list(weight),
-                    "eps_weight": list(diff),
-                    "polytope": pa.to_json() if pa else {},
-                    "branching": pb.to_json() if pb else {},
-                },
-            )
-    return _summary("qchar", instances, None)
+def minkowski_cases(family: str, n: int, max_coeff: int):
+    for lam, mu in combinations_with_replacement(_all_weights(n, max_coeff), 2):
+        yield _outcome(
+            {"family": family, "lambda": list(lam), "mu": list(mu)},
+            minkowski_verify(family, n, lam, mu),
+        )
+
+
+def abs_cases(family: str, n: int, max_coeff: int):
+    for weight in _all_weights(n, max_coeff):
+        yield _outcome(
+            {"family": family, "weight": list(weight)},
+            mp.abs_verify(mp.fflv_marked_poset(family, n, weight)),
+        )
+
+
+def slice_cases(n: int, max_coeff: int):
+    for weight in _all_weights(n, max_coeff):
+        yield _outcome({"weight": list(weight)}, slice_verify(n, weight))
+
+
+def qchar_cases(n: int, max_coeff: int):
+    for weight in _all_weights(n, max_coeff):
+        a = qchar_polytope("odd", n, weight).terms
+        b = qchar_branching(n, weight).terms
+        if a == b:
+            yield None
+            continue
+        diff = min(w for w in set(a) | set(b) if a.get(w) != b.get(w))
+        pa, pb = a.get(diff), b.get(diff)
+        yield {
+            "weight": list(weight),
+            "eps_weight": list(diff),
+            "polytope": pa.to_json() if pa else {},
+            "branching": pb.to_json() if pb else {},
+        }
 
 
 def _violating_vectors(engine, path, sigma):
     """Exponent vectors supported on the path with entries summing to sigma."""
-    idxs = [engine._index[lab] for lab in path.labels]
+    idxs = [engine.poset.index(lab) for lab in path.labels]
     for split in combinations_with_replacement(range(len(idxs)), sigma):
         vec = [0] * engine.nvars
         for pos in split:
@@ -286,53 +265,47 @@ def _violating_vectors(engine, path, sigma):
         yield tuple(vec)
 
 
-def _verify_straightening(args) -> int:
-    engine = st.Straightener(args.n)
+def straightening_cases(n: int, max_coeff: int):
+    engine = st.Straightener(n)
     paths = [
         p
         for p in dyck_paths(engine.poset)
         if p.start == RootLabel(1, 1, False) and p.end.barred
     ]
-    instances = 0
-    for bound in range(args.n * args.max_coeff + 1):
-        weight = (bound,) + (0,) * (args.n - 1)
+    # Straightener.verify reads the weight only through its total.
+    for bound in range(n * max_coeff + 1):
+        weight = (bound,) + (0,) * (n - 1)
         for path in paths:
             for s in _violating_vectors(engine, path, bound + 1):
-                instances += 1
                 failure = engine.verify(weight, s, path)
-                if failure is not None:
-                    return _summary(
-                        "straightening",
-                        instances,
-                        {
-                            "path": [str(lab) for lab in path.labels],
-                            "s": list(s),
-                            "kind": failure.kind,
-                            "term": list(failure.point),
-                        },
-                    )
-    return _summary("straightening", instances, None)
-
-
-def _verify_n1(args) -> int:
-    report = mp.n1_report(args.max_k, args.max_coeff)
-    instances = sum(r["checked"] for r in report["results"])
-    if report["passing"]:
-        return _summary("n1-formula", instances, None)
-    first_fail = report["results"][0]["counterexample"]
-    return _summary("n1-formula", instances, first_fail)
+                yield None if failure is None else {
+                    "path": [str(lab) for lab in path.labels],
+                    "s": list(s),
+                    "kind": failure.kind,
+                    "term": list(failure.point),
+                }
 
 
 def _cmd_verify(args) -> int:
-    handler = {
-        "minkowski": _verify_minkowski,
-        "abs": _verify_abs,
-        "slice": _verify_slice,
-        "qchar": _verify_qchar,
-        "straightening": _verify_straightening,
-        "n1-formula": _verify_n1,
-    }[args.target]
-    return handler(args)
+    target, n, max_coeff = args.target, args.n, args.max_coeff
+    if target in ("minkowski", "abs"):
+        sweep = minkowski_cases if target == "minkowski" else abs_cases
+        return _summary(target, *first_failure(sweep(args.family, n, max_coeff)))
+    if args.family != "odd":
+        raise ValueError(f"verify {target} checks the odd family only")
+    if target == "n1-formula":
+        # Its instances are summed over the attachments it compares.
+        report = mp.n1_report(args.max_k, max_coeff)
+        instances = sum(r["checked"] for r in report["results"])
+        first = None if report["passing"] else report["results"][0]["counterexample"]
+        return _summary(target, instances, first)
+    if target == "slice":
+        cases = slice_cases(n, max_coeff)
+    elif target == "qchar":
+        cases = qchar_cases(n, max_coeff)
+    else:
+        cases = straightening_cases(n, max_coeff)
+    return _summary(target, *first_failure(cases))
 
 
 def _add_family(parser, default="odd"):

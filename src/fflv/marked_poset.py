@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
-from .polytope import Counterexample, lattice_points, slack_search
+from .polytope import Counterexample, lattice_points, order_walk, slack_search
 from .rootsys import RootLabel, build_poset, check_weight, fflv_markings
 
 
@@ -80,7 +81,7 @@ class MarkedPoset:
         object.__setattr__(self, "_marking", marking)
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
-        object.__setattr__(self, "_topo", self._toposort())
+        object.__setattr__(self, "_topo", self._toposort(index))
         self._check_monotone_markings()
         unmarked = tuple(e for e in self.elements if e not in marking)
         object.__setattr__(self, "_unmarked", unmarked)
@@ -96,17 +97,20 @@ class MarkedPoset:
             tuple((index[e], tuple(index[q] for q in pred[e])) for e in unmarked),
         )
 
-    def _toposort(self) -> tuple:
+    def _toposort(self, index: dict) -> tuple:
+        # Canonical-first, so the order is canonical wherever that is a linear extension.
         indeg = {e: len(self._pred[e]) for e in self.elements}
-        ready = [e for e in self.elements if indeg[e] == 0]
+        ready = [i for i, e in enumerate(self.elements) if indeg[e] == 0]
         out = []
         while ready:
-            e = ready.pop()
+            i = min(ready)
+            ready.remove(i)
+            e = self.elements[i]
             out.append(e)
             for s in self._succ[e]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
-                    ready.append(s)
+                    ready.append(index[s])
         if len(out) != len(self.elements):
             raise ValueError("cover relation contains a cycle")
         return tuple(out)
@@ -144,9 +148,6 @@ class MarkedPoset:
 
     def successors(self, e) -> tuple:
         return tuple(self._succ[e])
-
-    def predecessors(self, e) -> tuple:
-        return tuple(self._pred[e])
 
     def minimal(self) -> tuple:
         return tuple(e for e in self.elements if not self._pred[e])
@@ -186,35 +187,32 @@ def order_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
     """Integer labellings that extend the markings monotonically.
 
     Each point is a tuple over all elements in canonical order, with marked
-    slots holding their markings.
+    slots holding their markings.  `polytope.order_walk` takes each unmarked
+    element from the largest value below it to the least marking above it.
     """
     _require_marked_extremes(poset)
-    # Least marking weakly above each element; every value must stay at or
-    # below it, and the bound is always attainable, so the search never
-    # backtracks.
+    marking = poset._marking
     upper: dict = {}
     for e in reversed(poset._topo):
-        if poset.is_marked(e):
-            upper[e] = poset.marking_of(e)
-            continue
-        upper[e] = min(upper[s] for s in poset.successors(e))
-    todo = [e for e in poset._topo if not poset.is_marked(e)]
-    values: dict = dict(poset._marking)
-    points: list[tuple[int, ...]] = []
-    order = poset.elements
-
-    def walk(i: int) -> None:
-        if i == len(todo):
-            points.append(tuple(values[e] for e in order))
-            return
-        e = todo[i]
-        low = max(values[q] for q in poset.predecessors(e))
-        for v in range(low, upper[e] + 1):
-            values[e] = v
-            walk(i + 1)
-        del values[e]
-
-    walk(0)
+        upper[e] = marking[e] if e in marking else min(upper[s] for s in poset._succ[e])
+    walk = [e for e in poset._topo if e not in marking]
+    pos = {e: k for k, e in enumerate(walk)}
+    lowest = min(marking.values(), default=0)     # at or below every value
+    floor = [max((marking[q] for q in poset._pred[e] if q in marking), default=lowest)
+             for e in walk]
+    preds = [[pos[q] for q in poset._pred[e] if q in pos] for e in walk]
+    # Each canonical slot indexes into (walked values + markings).
+    marks = tuple(marking.values())
+    mark_slot = {e: len(walk) + j for j, e in enumerate(marking)}
+    slots = [pos[e] if e in pos else mark_slot[e] for e in poset.elements]
+    if len(slots) < 2:      # no walked element, and itemgetter needs two slots
+        return (tuple(marks),)
+    pick = itemgetter(*slots)
+    points = [
+        pick(x + marks)
+        for x in order_walk(floor, preds, [upper[e] for e in walk], False)
+    ]
+    # On FFLV and random posets the canonical-first walk is sorted already.
     return tuple(sorted(points))
 
 

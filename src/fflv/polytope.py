@@ -154,14 +154,50 @@ def enumerate_points(system: InequalitySystem) -> tuple[LatticePoint, ...]:
     return slack_search(system._rows_by_coord, [row.bound for row in system.rows])
 
 
+def order_walk(floor, preds, up, chain: bool) -> list[tuple[int, ...]]:
+    """Every integer labelling x with low(k) <= x[k] <= up[k], in lexicographic order.
+
+    low(k) is the largest of floor[k] and x[q] for q in preds[k], which lie
+    before k; the caller's bounds keep low(k) <= up[k], so nothing
+    backtracks.  An odometer advances the last position below its bound and
+    resets the later ones to their lows; it does not recurse, since there
+    can be more positions than the recursion limit.  With ``chain`` it
+    returns the transfer images x[k] - low(k) instead of the labellings.
+    """
+    npos = len(up)
+    x = [0] * npos
+    s = [0] * npos
+    emit = s if chain else x
+
+    def reset(start: int) -> None:
+        for k in range(start, npos):
+            low = floor[k]
+            for q in preds[k]:
+                if x[q] > low:
+                    low = x[q]
+            x[k] = low
+            s[k] = 0
+
+    reset(0)
+    out = []
+    while True:
+        out.append(tuple(emit))
+        k = npos - 1
+        while k >= 0 and x[k] == up[k]:
+            k -= 1
+        if k < 0:
+            return out
+        x[k] += 1
+        s[k] += 1
+        reset(k + 1)
+
+
 @lru_cache(maxsize=128)
 def _walk_points(family: str, n: int, weight: tuple[int, ...]) -> tuple[LatticePoint, ...]:
-    """Chain coordinates of the marked order points, by an iterative walk.
+    """Chain coordinates of the marked order points of the root poset.
 
-    The root order is a linear extension, so when root k is reached every
-    predecessor holds its value.  An odometer advances the last root still
-    below its bound and resets the roots after it to their lows; it does not
-    recurse, since the number of roots can exceed the recursion limit.
+    The root order is a linear extension; each root's floor is its row's
+    t_i marking, and its bound the least marking weakly above it.
     """
     poset = build_poset(family, n)
     ncoord = len(poset.roots)
@@ -181,31 +217,7 @@ def _walk_points(family: str, n: int, weight: tuple[int, ...]) -> tuple[LatticeP
         if cap[k] is not None:
             above.append(cap[k])
         up[k] = min(above)
-
-    x = [0] * ncoord        # order values
-    s = [0] * ncoord        # chain coordinates x[k] - low(k)
-
-    def reset(start: int) -> None:
-        for k in range(start, ncoord):
-            low = floor[k]
-            for q in preds[k]:
-                if x[q] > low:
-                    low = x[q]
-            x[k] = low
-            s[k] = 0
-
-    reset(0)
-    out: list[LatticePoint] = []
-    while True:
-        out.append(tuple(s))
-        k = ncoord - 1
-        while k >= 0 and x[k] == up[k]:
-            k -= 1
-        if k < 0:
-            return tuple(out)
-        x[k] += 1
-        s[k] += 1
-        reset(k + 1)
+    return tuple(order_walk(floor, preds, up, True))
 
 
 def lattice_points(family: str, n: int, weight) -> tuple[LatticePoint, ...]:

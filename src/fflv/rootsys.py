@@ -7,10 +7,7 @@ odd family has the extra unbarred column n in every row, the even family
 stops its unbarred columns at n - 1.  Covers run rightward inside a row
 (consecutive valid columns) and straight down one row at a fixed column.
 
-Roots carry two coordinate systems: alpha-coordinates over the basis
-(alpha_1, ..., alpha_n, alphatilde_{n+1}) and eps-coordinates over
-(eps_1, ..., eps_n, eps_0), related by alpha_k = eps_k - eps_{k+1} for
-k < n, alpha_n = 2 eps_n and alphatilde_{n+1} = eps_0 + eps_n.
+Roots carry eps-coordinates over (eps_1, ..., eps_n, eps_0).
 """
 
 from __future__ import annotations
@@ -65,43 +62,7 @@ class RootLabel(NamedTuple):
 
 class Root(NamedTuple):
     label: RootLabel
-    alpha: tuple[int, ...]
     eps: tuple[int, ...]
-
-
-def simple_roots_eps(n: int) -> tuple[tuple[int, ...], ...]:
-    """eps-vectors of alpha_1, ..., alpha_n, alphatilde_{n+1}."""
-    out = []
-    for k in range(1, n):
-        v = [0] * (n + 1)
-        v[k - 1], v[k] = 1, -1
-        out.append(tuple(v))
-    v = [0] * (n + 1)
-    v[n - 1] = 2
-    out.append(tuple(v))                      # alpha_n = 2 eps_n
-    v = [0] * (n + 1)
-    v[n - 1], v[n] = 1, 1
-    out.append(tuple(v))                      # alphatilde = eps_0 + eps_n
-    return tuple(out)
-
-
-def _alpha_coords(label: RootLabel, n: int) -> tuple[int, ...]:
-    i, j, barred = label
-    v = [0] * (n + 1)
-    if not barred and j < n:
-        for k in range(i, j + 1):
-            v[k - 1] += 1
-    elif not barred:
-        # special root alpha_{i,n} = alpha_i + ... + alpha_n - alphatilde_{n+1}
-        for k in range(i, n + 1):
-            v[k - 1] += 1
-        v[n] = -1
-    else:
-        for k in range(i, n + 1):
-            v[k - 1] += 1
-        for k in range(j, n):
-            v[k - 1] += 1
-    return tuple(v)
 
 
 def _eps_coords(label: RootLabel, n: int) -> tuple[int, ...]:
@@ -204,9 +165,7 @@ def _build_poset(family: str, n: int) -> RootPoset:
         if below in index:
             covers.append((index[lab], index[below]))
     covers.sort()
-    roots = tuple(
-        Root(lab, _alpha_coords(lab, n), _eps_coords(lab, n)) for lab in labels
-    )
+    roots = tuple(Root(lab, _eps_coords(lab, n)) for lab in labels)
     return RootPoset(family, n, roots, tuple(covers))
 
 

@@ -10,7 +10,7 @@ posets, whose seed is fixed.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from fflv.characters import (
     QPolynomial,
@@ -20,16 +20,16 @@ from fflv.characters import (
     qchar_polytope,
     weyl_dim,
 )
-from fflv.marked_poset import abs_verify, fflv_marked_poset, n1_report
-from fflv.polytope import (
-    ehrhart_counts,
-    inequalities,
-    lattice_points,
-    minkowski_verify,
-    slice_verify,
+from fflv.cli import (
+    abs_cases,
+    first_failure,
+    minkowski_cases,
+    slice_cases,
+    straightening_cases,
 )
-from fflv.rootsys import RootLabel, build_poset, dyck_paths, partition_from_fundamental
-from fflv.straightening import Straightener
+from fflv.marked_poset import abs_verify, n1_report
+from fflv.polytope import ehrhart_counts, inequalities, lattice_points
+from fflv.rootsys import RootLabel, partition_from_fundamental
 from pbw_module import pbw_character
 from randposets import random_marked_poset
 
@@ -181,12 +181,10 @@ def test_acceptance_4_minkowski_additivity():
     checked = 0
     for family in ("odd", "even"):
         for n, mmax in ((1, 2), (2, 2), (3, 1)):
-            weights = list(product(range(mmax + 1), repeat=n))
-            for lam, mu in combinations_with_replacement(weights, 2):
-                checked += 1
-                failure = minkowski_verify(family, n, lam, mu)
-                if failure is not None and first is None:
-                    first = (family, n, lam, mu, failure)
+            count, failure = first_failure(minkowski_cases(family, n, mmax))
+            checked += count
+            if failure is not None and first is None:
+                first = (n, failure)
     elapsed = time.perf_counter() - t0
     ok = first is None
     report(4, "Minkowski additivity of lattice points", ok,
@@ -199,11 +197,10 @@ def test_acceptance_5_slice_construction():
     first = None
     checked = 0
     for n in (1, 2):
-        for weight in product(range(3), repeat=n):
-            checked += 1
-            failure = slice_verify(n, weight)
-            if failure is not None and first is None:
-                first = (n, weight, failure)
+        count, failure = first_failure(slice_cases(n, 2))
+        checked += count
+        if failure is not None and first is None:
+            first = (n, failure)
     elapsed = time.perf_counter() - t0
     ok = first is None
     report(5, "odd polytope is a slice of the next even one", ok,
@@ -217,11 +214,10 @@ def test_acceptance_6_transfer_bijection():
     checked = 0
     for family in ("odd", "even"):
         for n in (1, 2, 3):
-            for weight in product(range(3), repeat=n):
-                checked += 1
-                failure = abs_verify(fflv_marked_poset(family, n, weight))
-                if failure is not None and first is None:
-                    first = (family, n, weight, failure)
+            count, failure = first_failure(abs_cases(family, n, 2))
+            checked += count
+            if failure is not None and first is None:
+                first = (n, failure)
     rng = random.Random(20260823)
     for k in range(100):
         checked += 1
@@ -235,41 +231,17 @@ def test_acceptance_6_transfer_bijection():
     assert ok, f"first failure {first}"
 
 
-def compositions_on(engine, path, sigma):
-    idxs = [engine.labels.index(lab) for lab in path.labels]
-    for split in combinations_with_replacement(range(len(idxs)), sigma):
-        vec = [0] * engine.nvars
-        for pos in split:
-            vec[idxs[pos]] += 1
-        yield tuple(vec)
-
-
 def test_acceptance_7_straightening_leading_terms():
+    # The check reads the weight only through its total, and path bounds
+    # 0..2n cover every total of a weight in {0, 1, 2}^n.
     t0 = time.perf_counter()
     first = None
     checked = 0
     for n in (1, 2, 3):
-        engine = Straightener(n)
-        paths = [
-            p
-            for p in dyck_paths(engine.poset)
-            if p.start == L(1, 1) and p.end.barred
-        ]
-        # The check depends on the weight only through its total, so one
-        # representative weight per total covers every weight in the box.
-        for total in range(2 * n + 1):
-            weight = []
-            left = total
-            for _ in range(n):
-                weight.append(min(2, left))
-                left -= weight[-1]
-            weight = tuple(weight)
-            for path in paths:
-                for s in compositions_on(engine, path, total + 1):
-                    checked += 1
-                    failure = engine.verify(weight, s, path)
-                    if failure is not None and first is None:
-                        first = (n, weight, path.labels, s, failure)
+        count, failure = first_failure(straightening_cases(n, 2))
+        checked += count
+        if failure is not None and first is None:
+            first = (n, failure)
     elapsed = time.perf_counter() - t0
     ok = first is None
     report(7, "straightened monomials lead their expansions", ok,

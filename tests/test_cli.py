@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import fflv
-from fflv.characters import qchar_polytope
+from fflv.characters import GradedCharacter, qchar_branching, qchar_polytope
 from fflv.cli import main
 from fflv.marked_poset import n1_report
+from fflv.polytope import Counterexample
 
 
 def run(capsys, *argv):
@@ -140,6 +141,85 @@ def test_verify_qchar_rank1_passes(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def failing_at(k, failure):
+    """A stand-in checker that passes k - 1 calls and returns failure at call k."""
+    calls = []
+
+    def check(*args):
+        calls.append(args)
+        return failure if len(calls) == k else None
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "checker, argv, k, failure, line",
+    [
+        (
+            "fflv.cli.minkowski_verify",
+            ["minkowski", "--family", "even", "--n", "2", "--max-coeff", "1"],
+            3, Counterexample("missing", (1, 0, 2)),
+            '{"target": "minkowski", "instances": 3, "failures": 1, '
+            '"status": "fail", "counterexample": {"family": "even", '
+            '"lambda": [0, 0], "mu": [1, 0], "kind": "missing", '
+            '"point": [1, 0, 2]}}',
+        ),
+        (
+            "fflv.marked_poset.abs_verify",
+            ["abs", "--family", "odd", "--n", "2", "--max-coeff", "1"],
+            3, Counterexample("transfer_not_injective", (2, 1)),
+            '{"target": "abs", "instances": 3, "failures": 1, '
+            '"status": "fail", "counterexample": {"family": "odd", '
+            '"weight": [1, 0], "kind": "transfer_not_injective", '
+            '"point": [2, 1]}}',
+        ),
+        (
+            "fflv.cli.slice_verify",
+            ["slice", "--n", "2", "--max-coeff", "2"],
+            5, Counterexample("extra", (0, 1, 0, 0, 0, 0)),
+            '{"target": "slice", "instances": 5, "failures": 1, '
+            '"status": "fail", "counterexample": {"weight": [1, 1], '
+            '"kind": "extra", "point": [0, 1, 0, 0, 0, 0]}}',
+        ),
+        (
+            "fflv.straightening.Straightener.verify",
+            ["straightening", "--n", "2", "--max-coeff", "1"],
+            7, Counterexample("term_not_smaller", (0, 0, 1, 0, 0, 1)),
+            '{"target": "straightening", "instances": 7, "failures": 1, '
+            '"status": "fail", "counterexample": {"path": ["(1,1)", "(1,2)", '
+            '"(1,2bar)", "(2,2bar)"], "s": [0, 0, 1, 0, 0, 0], '
+            '"kind": "term_not_smaller", "term": [0, 0, 1, 0, 0, 1]}}',
+        ),
+    ],
+)
+def test_verify_failure_summaries(capsys, monkeypatch, checker, argv, k,
+                                  failure, line):
+    # The sweep stops at its first failing instance and reports it whole.
+    monkeypatch.setattr(checker, failing_at(k, failure))
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 1
+    assert out == line + "\n"
+
+
+def test_verify_qchar_names_the_least_differing_weight(capsys, monkeypatch):
+    # An empty branching character at the third weight differs from the
+    # polytope character at all six of its eps-weights.
+    calls = []
+
+    def branching(n, weight):
+        calls.append(weight)
+        return GradedCharacter() if len(calls) == 3 else qchar_branching(n, weight)
+
+    monkeypatch.setattr("fflv.cli.qchar_branching", branching)
+    code, out, _ = run(capsys, "verify", "qchar", "--n", "1", "--max-coeff", "2")
+    assert code == 1
+    assert out == (
+        '{"target": "qchar", "instances": 3, "failures": 1, "status": "fail", '
+        '"counterexample": {"weight": [2], "eps_weight": [-2, 0], '
+        '"polytope": {"2": 1}, "branching": {}}}\n'
+    )
+
+
 def test_verify_n1(capsys):
     code, out, _ = run(capsys, "verify", "n1-formula", "--max-k", "3",
                        "--max-coeff", "2")
@@ -181,6 +261,21 @@ def test_empty_sweeps_are_usage_errors(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "must be at least" in err
+
+
+def test_verify_rejects_an_ignored_family(capsys):
+    # These sweeps check the odd family only; a pass for --family even would
+    # report a check that was not made.
+    for target in ("slice", "qchar", "straightening", "n1-formula"):
+        code, out, err = run(capsys, "verify", target, "--family", "even",
+                             "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "odd family" in err
+        code, out, _ = run(capsys, "verify", target, "--family", "odd",
+                           "--n", "1", "--max-coeff", "1", "--max-k", "2")
+        assert code == 0
+        assert json.loads(out)["status"] == "pass"
 
 
 def test_library_errors_exit_2(capsys):

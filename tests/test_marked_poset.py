@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fflv.marked_poset import (
     MarkedPoset,
@@ -118,6 +120,42 @@ def test_order_points_zero_weight():
     poset = fflv_marked_poset("even", 2, (0, 0))
     assert order_points(poset) == ((0,) * len(poset),)
     assert chain_points(poset) == ((0, 0, 0, 0),)
+
+
+def brute_order_points(poset):
+    """Every labelling in [least, greatest marking] that extends the markings
+    and is monotone along the covers, sorted."""
+    marks = dict(poset.markings)
+    values = range(min(marks.values()), max(marks.values()) + 1)
+    out = []
+    for free in product(values, repeat=len(poset.unmarked)):
+        label = {**dict(zip(poset.unmarked, free)), **marks}
+        if all(label[a] <= label[b] for a, b in poset.covers):
+            out.append(tuple(label[e] for e in poset.elements))
+    return tuple(sorted(out))
+
+
+@settings(deadline=None, database=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_order_points_match_brute_force(seed):
+    poset = random_marked_poset(random.Random(seed))
+    assert order_points(poset) == brute_order_points(poset)
+
+
+def test_order_points_edge_cases():
+    assert order_points(MarkedPoset((), (), ())) == ((),)
+    assert order_points(MarkedPoset(("a",), (), (("a", 3),))) == ((3,),)
+    # Markings listed out of canonical order land in their own slots.
+    poset = MarkedPoset(("a", "b", "c"), (("a", "c"), ("c", "b")),
+                        (("b", 2), ("a", 0)))
+    assert order_points(poset) == ((0, 2, 0), (0, 2, 1), (0, 2, 2))
+    assert order_points(poset) == brute_order_points(poset)
+
+
+def test_order_points_high_rank():
+    # One point, and no recursion per element: rank 35 has 1,365 elements.
+    poset = fflv_marked_poset("odd", 35, (0,) * 35)
+    assert order_points(poset) == ((0,) * len(poset),)
 
 
 def test_abs_on_library_posets():

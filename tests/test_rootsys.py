@@ -10,7 +10,6 @@ from fflv.rootsys import (
     fundamental_to_eps,
     partition_from_fundamental,
     path_bound,
-    simple_roots_eps,
     wt_deg,
 )
 
@@ -95,18 +94,6 @@ def test_eps_coordinates_odd_rank2():
     assert eps[L(1, 1, True)] == (2, 0, 0)
     assert eps[L(2, 2)] == (0, 1, -1)
     assert eps[L(2, 2, True)] == (0, 2, 0)
-
-
-def test_alpha_decomposition_matches_eps():
-    for family in ("odd", "even"):
-        for n in range(1, 5):
-            simple = simple_roots_eps(n)
-            for root in build_poset(family, n).roots:
-                combo = [0] * (n + 1)
-                for c, vec in zip(root.alpha, simple):
-                    for k, e in enumerate(vec):
-                        combo[k] += c * e
-                assert tuple(combo) == root.eps
 
 
 def test_path_counts():
