@@ -4,8 +4,8 @@ symplectic families sp_{2n} (even) and sp_{2n+1} (odd).
 The package is organized bottom-up:
 
   rootsys       root posets, Dyck paths, coordinate conversions
-  polytope      inequality systems, lattice-point enumeration, Minkowski
-                and slice checks, Ehrhart counts
+  polytope      inequality systems, lattice-point enumeration, graded
+                counts, Minkowski and slice checks, Ehrhart counts
   characters    graded characters, branching data, exact dimensions
   marked_poset  marked order/chain polytopes, transfer map, rank-one family
   straightening derivation operators and leading-term verification
@@ -39,6 +39,7 @@ from .polytope import (
     violated_paths,
     enumerate_points,
     lattice_points,
+    graded_count,
     minkowski_verify,
     slice_verify,
     ehrhart_counts,
@@ -90,6 +91,7 @@ __all__ = [
     "violated_paths",
     "enumerate_points",
     "lattice_points",
+    "graded_count",
     "minkowski_verify",
     "slice_verify",
     "ehrhart_counts",

@@ -16,15 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .polytope import lattice_points
+from .polytope import graded_count, lattice_points
 from .rootsys import (
     Weight,
-    build_poset,
     check_weight,
     fundamental_from_partition,
     fundamental_to_eps,
     partition_from_fundamental,
-    wt_deg,
 )
 
 
@@ -153,12 +151,10 @@ def qchar_polytope(family: str, n: int, weight: tuple[int, ...]) -> GradedCharac
     by at most d lowering operators applied to the highest weight vector.
     """
     weight = check_weight(family, n, weight)
-    poset = build_poset(family, n)
     lam_eps = fundamental_to_eps(weight)
     char = GradedCharacter()
-    for s in lattice_points(family, n, weight):
-        wt, deg = wt_deg(poset, s)
-        char.add_term(tuple(a - b for a, b in zip(lam_eps, wt)), deg)
+    for (wt, deg), count in graded_count(family, n, weight).items():
+        char.add_term(tuple(a - b for a, b in zip(lam_eps, wt)), deg, count)
     return char
 
 
@@ -172,7 +168,6 @@ def qchar_branching(n: int, weight: tuple[int, ...]) -> GradedCharacter:
     weight = check_weight("odd", n, weight)
     lam_eps = fundamental_to_eps(weight)
     lam_part = partition_from_fundamental(weight)
-    even_poset = build_poset("even", n)
     char = GradedCharacter()
     for mut in delta_set(weight):
         sub = fundamental_from_partition(
@@ -184,10 +179,9 @@ def qchar_branching(n: int, weight: tuple[int, ...]) -> GradedCharacter:
         for i, x in enumerate(mut):
             base[i] -= x
         base[n] += deg_mut
-        for s in lattice_points("even", n, sub):
-            wt, deg = wt_deg(even_poset, s)
+        for (wt, deg), count in graded_count("even", n, sub).items():
             char.add_term(
-                tuple(a - b for a, b in zip(base, wt)), deg + deg_mut
+                tuple(a - b for a, b in zip(base, wt)), deg + deg_mut, count
             )
     return char
 
@@ -196,7 +190,7 @@ def dim(family: str, n: int, weight: tuple[int, ...], method: str = "polytope") 
     """Dimension by lattice-point count, branching sum, or Weyl formula."""
     weight = check_weight(family, n, weight)
     if method == "polytope":
-        return len(lattice_points(family, n, weight))
+        return sum(graded_count(family, n, weight).values())
     if method == "branching":
         if family != "odd":
             raise ValueError("branching dimension is defined for the odd family")

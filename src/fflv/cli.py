@@ -163,7 +163,7 @@ def _cmd_transfer(args) -> int:
     poset = mp.fflv_marked_poset(args.family, args.n, args.weight)
     order = mp.order_points(poset)
     chain = mp.chain_points(poset)
-    failure = mp.abs_verify(poset)
+    failure = mp.check_transfer(poset, order, chain)
     _dump(
         {
             "family": args.family,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
-from .polytope import Counterexample, lattice_points, order_walk, slack_search
+from .polytope import Counterexample, order_walk, slack_search
 from .rootsys import RootLabel, build_poset, check_weight, fflv_markings
 
 
@@ -299,8 +299,12 @@ def transfer(poset: MarkedPoset, x) -> tuple[int, ...]:
 
 def abs_verify(poset: MarkedPoset) -> Counterexample | None:
     """Brute-force check that transfer is a bijection onto the chain points."""
-    order = order_points(poset)
-    chain = set(chain_points(poset))
+    return check_transfer(poset, order_points(poset), chain_points(poset))
+
+
+def check_transfer(poset: MarkedPoset, order, chain) -> Counterexample | None:
+    """`abs_verify` on the poset's order and chain points, computed by the caller."""
+    chain = set(chain)
     seen = set()
     for x in order:
         s = transfer(poset, x)
@@ -488,9 +492,3 @@ def n1_report(max_k: int, max_coeff: int) -> dict:
         "results": results,
         "passing": [r["attachment"] for r in results if r["status"] == "pass"],
     }
-
-
-def fflv_points_match(family: str, n: int, weight: tuple[int, ...]) -> bool:
-    """Chain points of the marked realization equal the lattice points."""
-    poset = fflv_marked_poset(family, n, weight)
-    return set(chain_points(poset)) == set(lattice_points(family, n, tuple(weight)))

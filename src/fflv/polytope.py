@@ -13,6 +13,11 @@ backtracks, and points come out in lexicographic order.  It builds no Dyck
 path.  `enumerate_points` is the independent oracle: a depth-first search
 over the path inequalities with per-row remaining-slack pruning.
 
+`graded_count` counts the same points by weight and degree without
+enumerating them: a frontier (transfer-matrix) DP over the same walk, whose
+states are the order values that later roots still read.  Characters,
+dimensions and Ehrhart counts go through it; `lattice_points` is its oracle.
+
 `minkowski_verify` checks P(lam) + P(mu) = P(lam + mu) on integer codes:
 each point is read as a mixed-radix number whose radix exceeds every
 coordinate of P(lam + mu), so a sum of points is one integer addition and
@@ -21,8 +26,10 @@ the sumset is a set of ints.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .rootsys import (
@@ -30,6 +37,7 @@ from .rootsys import (
     LatticePoint,
     RootLabel,
     RootPoset,
+    Weight,
     build_poset,
     check_weight,
     dyck_paths,
@@ -192,12 +200,12 @@ def order_walk(floor, preds, up, chain: bool) -> list[tuple[int, ...]]:
         reset(k + 1)
 
 
-@lru_cache(maxsize=128)
-def _walk_points(family: str, n: int, weight: tuple[int, ...]) -> tuple[LatticePoint, ...]:
-    """Chain coordinates of the marked order points of the root poset.
+def _walk_plan(family: str, n: int, weight: tuple[int, ...]):
+    """The root poset and each root's floor, predecessors and upper bound.
 
     The root order is a linear extension; each root's floor is its row's
-    t_i marking, and its bound the least marking weakly above it.
+    t_i marking, and its bound the least marking weakly above it.  The walk
+    and the graded count both read the marked order polytope from here.
     """
     poset = build_poset(family, n)
     ncoord = len(poset.roots)
@@ -217,6 +225,13 @@ def _walk_points(family: str, n: int, weight: tuple[int, ...]) -> tuple[LatticeP
         if cap[k] is not None:
             above.append(cap[k])
         up[k] = min(above)
+    return poset, floor, preds, up
+
+
+@lru_cache(maxsize=128)
+def _walk_points(family: str, n: int, weight: tuple[int, ...]) -> tuple[LatticePoint, ...]:
+    """Chain coordinates of the marked order points of the root poset."""
+    _, floor, preds, up = _walk_plan(family, n, weight)
     return tuple(order_walk(floor, preds, up, True))
 
 
@@ -229,8 +244,107 @@ def lattice_points(family: str, n: int, weight) -> tuple[LatticePoint, ...]:
     return _walk_points(family, n, check_weight(family, n, weight))
 
 
+@lru_cache(maxsize=128)
+def _graded_count(family: str, n: int, weight: tuple[int, ...]):
+    """Frontier DP over the walk of `_walk_points` (transfer-matrix method).
+
+    A state holds the order values of the roots that later roots still read
+    as predecessors; each state carries a map from packed (weight, degree)
+    keys to point counts.  A root's value v adds v - low to its chain
+    coordinate, so v - low times the root's eps-coordinates to the weight
+    and v - low to the degree.
+
+    A key is deg * size + sum over eps coordinates c of (wt_c + B_c) * place_c,
+    a mixed-radix number with radix 2 B_c + 1 at coordinate c.  Every chain
+    coordinate is at most |weight| (a marking minus a marking), so every
+    partial weight sum has |wt_c| <= B_c = |weight| * sum_a |eps_c(a)|: its
+    digit stays within [0, 2 B_c], adding a step never carries, and the
+    degree above all digits is unbounded.  A root whose step range exceeds
+    |weight| raises ArithmeticError, since the proof would then fail.
+    """
+    poset, floor, preds, up = _walk_plan(family, n, weight)
+    top = sum(weight)
+    if any(not 0 <= u - f <= top for f, u in zip(floor, up)):
+        raise ArithmeticError(
+            f"a chain coordinate can exceed {top}; the radix would carry"
+        )
+    bounds = [top * sum(abs(root.eps[c]) for root in poset.roots)
+              for c in range(n + 1)]
+    radices = [2 * b + 1 for b in bounds]
+    places = [1]
+    for r in radices:
+        places.append(places[-1] * r)
+    size = places.pop()
+    zero = sum(b * p for b, p in zip(bounds, places))
+    steps = [size + sum(e * p for e, p in zip(root.eps, places))
+             for root in poset.roots]
+
+    last_read = [-1] * len(up)      # the last root that reads each value
+    for k, ps in enumerate(preds):
+        for q in ps:
+            last_read[q] = k
+    frontier: list[int] = []        # roots whose values a state holds
+    states = {(): {zero: 1}}
+    for k, (f, u, step) in enumerate(zip(floor, up, steps)):
+        slot = {q: i for i, q in enumerate(frontier)}
+        read = [slot[q] for q in preds[k]]
+        keep = [i for i, q in enumerate(frontier) if last_read[q] > k]
+        live = last_read[k] > k
+        frontier = [frontier[i] for i in keep] + [k] * live
+        nxt: dict = {}
+        for state, counts in states.items():
+            low = f
+            for i in read:
+                if state[i] > low:
+                    low = state[i]
+            base = tuple(state[i] for i in keep)
+            # Step 0 comes last, so `counts` is no longer read when a new
+            # state takes it over.
+            for v in range(u, low - 1, -1):
+                target = base + (v,) if live else base
+                shift = (v - low) * step
+                dst = nxt.get(target)
+                if dst is None:
+                    nxt[target] = (
+                        {key + shift: c for key, c in counts.items()}
+                        if shift else counts
+                    )
+                else:
+                    get = dst.get
+                    for key, c in counts.items():
+                        key += shift
+                        dst[key] = get(key, 0) + c
+        states = nxt
+    (counts,) = states.values()
+
+    out = {}
+    for key, c in counts.items():
+        deg, rest = divmod(key, size)
+        wt = []
+        for r, b in zip(radices, bounds):
+            rest, digit = divmod(rest, r)
+            wt.append(digit - b)
+        out[(tuple(wt), deg)] = c
+    return MappingProxyType(out)
+
+
+def graded_count(family: str, n: int, weight) -> Mapping[tuple[Weight, int], int]:
+    """The multiset {(wt(s), deg(s)): count} over the polytope's lattice points.
+
+    It equals ``Counter(wt_deg(poset, s) for s in lattice_points(...))``
+    but enumerates no point.  The weight is validated and made a tuple
+    before the cache lookup; the cached result is a read-only mapping.
+    """
+    return _graded_count(family, n, check_weight(family, n, weight))
+
+
+def _clear_caches() -> None:
+    _walk_points.cache_clear()
+    _graded_count.cache_clear()
+
+
 # The cache controls, for callers that start each run from an empty cache.
-lattice_points.cache_clear = _walk_points.cache_clear
+lattice_points.cache_clear = _clear_caches
 lattice_points.cache_info = _walk_points.cache_info
 
 
@@ -335,7 +449,7 @@ def ehrhart_counts(
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     return tuple(
-        len(lattice_points(family, n, tuple(t * m for m in lam)))
+        sum(graded_count(family, n, tuple(t * m for m in lam)).values())
         for t in range(t_max + 1)
     )
 

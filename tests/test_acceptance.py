@@ -98,6 +98,21 @@ def test_acceptance_2_dimension_consistency():
             checked += 1
             if count != branched and first is None:
                 first = (n, weight, count, branched)
+    # Beyond rank 3 the count comes from the DP, dim(method="polytope").
+    counted = [
+        (family, n, tuple(int(i == k - 1) for i in range(n)))
+        for family in ("odd", "even")
+        for n in (4, 5, 6)
+        for k in range(n + 1)
+    ]
+    counted += [("odd", 4, weight) for weight in product(range(2), repeat=4)]
+    for family, n, weight in counted:
+        count = dim(family, n, weight)
+        expected = dim(family, n, weight,
+                       method="weyl" if family == "even" else "branching")
+        checked += 1
+        if count != expected and first is None:
+            first = (family, n, weight, count, expected)
     spots = (
         dim("odd", 2, (1, 0)),
         dim("odd", 2, (0, 1)),
@@ -105,7 +120,7 @@ def test_acceptance_2_dimension_consistency():
     )
     elapsed = time.perf_counter() - t0
     ok = first is None and spots == (5, 9, 35)
-    report(2, "point count equals branching dimension sum", ok,
+    report(2, "point count equals branching or Weyl dimension", ok,
            f"{checked} weights, spots {spots}, {elapsed:.1f}s")
     assert ok, f"first mismatch {first}, spots {spots}"
 

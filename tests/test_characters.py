@@ -16,6 +16,7 @@ from fflv.characters import (
     qdim,
     weyl_dim,
 )
+from fflv.polytope import lattice_points
 from pbw_module import form, index_weight, lowering_operators, pbw_character
 
 
@@ -190,6 +191,17 @@ def test_dim_methods_and_spots():
     assert dim("even", 2, (1, 1), method="weyl") == 16
     for weight in product(range(3), repeat=2):
         assert dim("even", 2, weight, method="weyl") == dim("even", 2, weight)
+
+
+def test_counting_routes_match_enumeration():
+    # qchar_polytope and dim count with the DP; qdim and the point count
+    # enumerate.
+    for family in ("odd", "even"):
+        for n in (1, 2, 3):
+            for weight in product(range(3 if n < 3 else 2), repeat=n):
+                graded = qchar_polytope(family, n, weight).qdim()
+                assert qdim(family, n, weight) == graded
+                assert dim(family, n, weight) == len(lattice_points(family, n, weight))
 
 
 def test_dim_rejects_bad_combinations():

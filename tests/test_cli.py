@@ -1,5 +1,6 @@
 """Command-line verbs, exit codes, and output determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fflv
+from fflv import marked_poset
 from fflv.characters import GradedCharacter, qchar_branching, qchar_polytope
 from fflv.cli import main
 from fflv.marked_poset import n1_report
@@ -83,6 +85,67 @@ def test_transfer(capsys):
     assert payload["order_points"] == 6
     assert payload["chain_points"] == 6
     assert payload["bijective"] is True
+
+
+def test_transfer_computes_each_point_set_once(capsys, monkeypatch):
+    calls = []
+    for name in ("order_points", "chain_points"):
+        real = getattr(marked_poset, name)
+        monkeypatch.setattr(
+            marked_poset, name,
+            lambda poset, name=name, real=real: calls.append(name) or real(poset))
+    argv = ("transfer", "--family", "odd", "--n", "2", "--weight", "1,1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert sorted(calls) == ["chain_points", "order_points"]
+    assert out == ('{"family": "odd", "n": 2, "weight": [1, 1], '
+                   '"order_points": 35, "chain_points": 35, "bijective": true}\n')
+    monkeypatch.setattr(marked_poset, "check_transfer",
+                        lambda *args: Counterexample("transfer_not_injective", (0,)))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["bijective"] is False
+
+
+# SHA-256 of stdout, recorded before characters, dimensions and Ehrhart
+# counts moved from enumeration to the graded count; every command exits 0.
+PINNED_OUTPUT_SHA256 = [
+    ("char --family odd --n 3 --weight 2,2,1",
+     "e3b36003691605c94d7d6ca08446b7d07943826f0c5f32cb716b29b2897e283b"),
+    ("char --family odd --n 3 --weight 2,2,1 --method branching",
+     "824cca4e12837430f1b4003ff0afe1d3d86343c9ab2604186112346927f1f67d"),
+    ("char --family even --n 2 --weight 2,1",
+     "3b4519279965655d6dffaa0f27599a28b3bca3faf5ce5fbed1c790e241172271"),
+    ("char --family odd --n 1 --weight 3",
+     "a4c9b70220fd2b8fbfa7321fa908bba233dda9eacd8227d0e2f922aa40859adf"),
+    ("char --family odd --n 2 --weight 0,0",
+     "9d6c66d027234bf6e5b3aa3ec7e897447ec4d84f765d7f929cb7bf6309a771c0"),
+    ("char --family even --n 3 --weight 1,0,1",
+     "b68a2fa64ed977b9e49733a7786d7601c0399358420fa604504ad0b2a94265e7"),
+    ("char --family odd --n 2 --weight 2,1 --method branching",
+     "1111535071d722993b73f072079894bc3d6d74d84248c7275b96c4c8fc592070"),
+    ("dim --family odd --n 3 --weight 2,2,1",
+     "3d95ab770218af8720643bc3dd59c133984382d0be879b5370dd4cc0220ece11"),
+    ("dim --family even --n 2 --weight 2,1",
+     "90d7ec0f0acef104d8b6252794295f661a0149634868d02a1ae0c358099638f5"),
+    ("dim --family odd --n 4 --weight 1,1,1,1",
+     "0452570a214640121ba0b60175f63b0afb573705dbb4561add34a202e53806ed"),
+    ("dim --family even --n 4 --weight 0,1,0,1",
+     "5ba0770fd80a0745fc6cda66b76c71ba98663c16b7266f733a1b8a0cd2ab7e46"),
+    ("ehrhart --family odd --n 2 --weight 1,1 --t-max 4",
+     "95f3adcee1c3acbe6dfa134ef78addac8863fd0cb725e27f069aac767c2b15be"),
+    ("ehrhart --family even --n 2 --weight 2,1 --t-max 3 --format csv",
+     "bf98da820fb5b79d7829b195e5f1709c242e7cb6019c345655a7872c831bcb40"),
+    ("ehrhart --family odd --n 1 --weight 0 --t-max 2",
+     "1139e392d1548d01cc4476279b142fcefbb5bb0fbfbeb29a7e09b508b0288031"),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_OUTPUT_SHA256)
+def test_counting_verbs_output_pinned(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_poset_json(capsys):

@@ -1,5 +1,6 @@
 """Inequality systems, lattice point enumeration, and polytope identities."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,7 @@ from fflv.polytope import (
     counts_to_csv,
     ehrhart_counts,
     enumerate_points,
+    graded_count,
     inequalities,
     lattice_points,
     minkowski_verify,
@@ -22,7 +24,7 @@ from fflv.polytope import (
     slice_verify,
     violated_paths,
 )
-from fflv.rootsys import RootLabel
+from fflv.rootsys import RootLabel, build_poset, wt_deg
 
 
 def L(row, col, barred=False):
@@ -131,6 +133,60 @@ def test_walk_matches_oracles_property(case):
     assert all(contains(system, p) for p in points)
 
 
+def wt_deg_counter(family, n, weight):
+    """The graded count's oracle: wt_deg over the enumerated points."""
+    poset = build_poset(family, n)
+    return Counter(wt_deg(poset, s) for s in lattice_points(family, n, weight))
+
+
+def test_graded_count_matches_enumeration_sweep():
+    for family in ("odd", "even"):
+        for n in (1, 2, 3):
+            for weight in product(range(3), repeat=n):
+                assert graded_count(family, n, weight) == wt_deg_counter(
+                    family, n, weight)
+
+
+@settings(deadline=None, database=None)
+@given(family_rank_weight())
+def test_graded_count_matches_enumeration_property(case):
+    assert graded_count(*case) == wt_deg_counter(*case)
+
+
+def test_graded_count_is_read_only():
+    counts = graded_count("odd", 1, (1,))
+    assert counts == {((0, 0), 0): 1, ((1, -1), 1): 1, ((2, 0), 1): 1}
+    with pytest.raises(TypeError):
+        counts[((0, 0), 0)] = 2
+
+
+@pytest.mark.parametrize("bump", [(0, 2), (1, 3), (1, -2)])
+def test_graded_count_rejects_steps_outside_radix(monkeypatch, bump):
+    # lam = (0, 1): every chain coordinate is at most 1, so the radix only
+    # covers steps in [0, 1]; a root whose range leaves that would carry.
+    plan = polytope._walk_plan
+
+    def widened(family, n, weight):
+        poset, floor, preds, up = plan(family, n, weight)
+        k, delta = bump
+        up = list(up)
+        up[k] += delta
+        return poset, floor, preds, up
+
+    monkeypatch.setattr(polytope, "_walk_plan", widened)
+    with pytest.raises(ArithmeticError):
+        polytope._graded_count.__wrapped__("odd", 2, (0, 1))
+
+
+def test_cache_clear_empties_the_graded_count_cache():
+    lattice_points("odd", 2, (1, 1))
+    graded_count("odd", 2, (1, 1))
+    assert polytope._graded_count.cache_info().currsize > 0
+    lattice_points.cache_clear()
+    assert polytope._graded_count.cache_info().currsize == 0
+    assert lattice_points.cache_info().currsize == 0
+
+
 def test_lattice_points_high_rank():
     # 1260 roots: past the default recursion limit of a per-root search.
     n = 35
@@ -142,15 +198,17 @@ def test_lattice_points_high_rank():
 
 
 def test_lattice_points_normalizes_weight():
-    assert lattice_points("odd", 2, [1, 1]) == lattice_points("odd", 2, (1, 1))
+    # graded_count validates the same way before its own cache.
     assert len(lattice_points("odd", 2, [1, 1])) == 35
-    for family, n, weight in (
-        ("neither", 2, (1, 1)),
-        ("odd", 2, (1,)),
-        ("odd", 2, [1, -1]),
-    ):
-        with pytest.raises(ValueError):
-            lattice_points(family, n, weight)
+    for count in (lattice_points, graded_count):
+        assert count("odd", 2, [1, 1]) == count("odd", 2, (1, 1))
+        for family, n, weight in (
+            ("neither", 2, (1, 1)),
+            ("odd", 2, (1,)),
+            ("odd", 2, [1, -1]),
+        ):
+            with pytest.raises(ValueError):
+                count(family, n, weight)
 
 
 def test_point_counts_frozen():
@@ -326,6 +384,14 @@ def test_slice_small_instances():
 def test_ehrhart_rank1():
     assert ehrhart_counts("odd", 1, (1,), 3) == (1, 3, 6, 10)
     assert ehrhart_counts("even", 1, (1,), 4) == (1, 2, 3, 4, 5)
+
+
+def test_ehrhart_matches_enumeration():
+    for family, n, weight, t_max in (("odd", 2, (1, 1), 3), ("even", 3, (0, 1, 1), 2)):
+        assert ehrhart_counts(family, n, weight, t_max) == tuple(
+            len(lattice_points(family, n, tuple(t * m for m in weight)))
+            for t in range(t_max + 1)
+        )
 
 
 def newton_diffs(seq):
