@@ -123,10 +123,11 @@ def _cmd_ineq(args) -> int:
 
 
 def _cmd_points(args) -> int:
-    points = lattice_points(args.family, args.n, args.weight)
     if args.count:
-        print(len(points))
-    elif args.format == "csv":
+        print(dim_fn(args.family, args.n, args.weight))
+        return 0
+    points = lattice_points(args.family, args.n, args.weight)
+    if args.format == "csv":
         for p in points:
             print(",".join(str(x) for x in p))
     else:

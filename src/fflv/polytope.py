@@ -15,8 +15,9 @@ over the path inequalities with per-row remaining-slack pruning.
 
 `graded_count` counts the same points by weight and degree without
 enumerating them: a frontier (transfer-matrix) DP over the same walk, whose
-states are the order values that later roots still read.  Characters,
-dimensions and Ehrhart counts go through it; `lattice_points` is its oracle.
+states are the order values that later roots still read.  Characters and
+dimensions go through it; `lattice_points` is its oracle, and Ehrhart counts
+stay on the walk.
 
 `minkowski_verify` checks P(lam) + P(mu) = P(lam + mu) on integer codes:
 each point is read as a mixed-radix number whose radix exceeds every
@@ -445,11 +446,16 @@ def slice_verify(n: int, lam: tuple[int, ...]) -> Counterexample | None:
 def ehrhart_counts(
     family: str, n: int, lam: tuple[int, ...], t_max: int
 ) -> tuple[int, ...]:
-    """Point counts of the polytopes for t * lam, t = 0, ..., t_max."""
+    """Point counts of the polytopes for t * lam, t = 0, ..., t_max.
+
+    The counts come from the walk, not from `graded_count`, so they stay
+    independent of the DP that characters and `dim` run on: comparing them
+    with a dimension formula checks the walk.
+    """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     return tuple(
-        sum(graded_count(family, n, tuple(t * m for m in lam)).values())
+        len(lattice_points(family, n, tuple(t * m for m in lam)))
         for t in range(t_max + 1)
     )
 

@@ -107,8 +107,9 @@ def test_transfer_computes_each_point_set_once(capsys, monkeypatch):
     assert json.loads(out)["bijective"] is False
 
 
-# SHA-256 of stdout, recorded before characters, dimensions and Ehrhart
-# counts moved from enumeration to the graded count; every command exits 0.
+# SHA-256 of stdout, recorded before characters and dimensions (and with
+# them `points --count`) moved from enumeration to the graded count; every
+# command exits 0.
 PINNED_OUTPUT_SHA256 = [
     ("char --family odd --n 3 --weight 2,2,1",
      "e3b36003691605c94d7d6ca08446b7d07943826f0c5f32cb716b29b2897e283b"),
@@ -138,6 +139,10 @@ PINNED_OUTPUT_SHA256 = [
      "bf98da820fb5b79d7829b195e5f1709c242e7cb6019c345655a7872c831bcb40"),
     ("ehrhart --family odd --n 1 --weight 0 --t-max 2",
      "1139e392d1548d01cc4476279b142fcefbb5bb0fbfbeb29a7e09b508b0288031"),
+    ("points --family odd --n 3 --weight 2,2,1 --count",
+     "3d95ab770218af8720643bc3dd59c133984382d0be879b5370dd4cc0220ece11"),
+    ("points --family odd --n 1 --weight 0 --count",
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
 ]
 
 

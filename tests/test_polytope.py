@@ -388,10 +388,10 @@ def test_ehrhart_rank1():
 
 def test_ehrhart_matches_enumeration():
     for family, n, weight, t_max in (("odd", 2, (1, 1), 3), ("even", 3, (0, 1, 1), 2)):
-        assert ehrhart_counts(family, n, weight, t_max) == tuple(
-            len(lattice_points(family, n, tuple(t * m for m in weight)))
-            for t in range(t_max + 1)
-        )
+        dilates = [tuple(t * m for m in weight) for t in range(t_max + 1)]
+        counts = ehrhart_counts(family, n, weight, t_max)
+        assert counts == tuple(len(lattice_points(family, n, w)) for w in dilates)
+        assert counts == tuple(sum(graded_count(family, n, w).values()) for w in dilates)
 
 
 def newton_diffs(seq):
