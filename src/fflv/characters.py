@@ -13,8 +13,9 @@ in exact arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from itertools import product
+from operator import sub
 
 from .polytope import graded_count, lattice_points
 from .rootsys import (
@@ -72,8 +73,8 @@ class GradedCharacter:
 
     __slots__ = ("terms",)
 
-    def __init__(self):
-        self.terms: dict[Weight, QPolynomial] = {}
+    def __init__(self, terms: dict[Weight, QPolynomial] | None = None):
+        self.terms = {} if terms is None else terms
 
     def add_term(self, weight: Weight, exp: int, coeff: int = 1) -> None:
         poly = self.terms.get(weight)
@@ -87,11 +88,10 @@ class GradedCharacter:
         return sum(p.at_one() for p in self.terms.values())
 
     def qdim(self) -> QPolynomial:
-        out = QPolynomial()
+        out = Counter()
         for p in self.terms.values():
-            for e, c in p.coeffs.items():
-                out.add_term(e, c)
-        return out
+            out.update(p.coeffs)
+        return QPolynomial(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedCharacter) and self.terms == other.terms
@@ -133,14 +133,17 @@ def weyl_dim(n: int, mu: tuple[int, ...]) -> int:
         raise ValueError("not a dominant partition")
     l = [padded[i] + n - i for i in range(n)]   # mu + rho, rho = (n, ..., 1)
     r = [n - i for i in range(n)]
-    val = Fraction(1)
+    num = den = 1
     for i in range(n):
-        val *= Fraction(l[i], r[i])
+        num *= l[i]
+        den *= r[i]
         for j in range(i + 1, n):
-            val *= Fraction(l[i] ** 2 - l[j] ** 2, r[i] ** 2 - r[j] ** 2)
-    if val.denominator != 1:
+            num *= l[i] ** 2 - l[j] ** 2
+            den *= r[i] ** 2 - r[j] ** 2
+    val, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError("Weyl dimension is not integral")
-    return int(val)
+    return val
 
 
 def qchar_polytope(family: str, n: int, weight: tuple[int, ...]) -> GradedCharacter:
@@ -152,10 +155,10 @@ def qchar_polytope(family: str, n: int, weight: tuple[int, ...]) -> GradedCharac
     """
     weight = check_weight(family, n, weight)
     lam_eps = fundamental_to_eps(weight)
-    char = GradedCharacter()
-    for (wt, deg), count in graded_count(family, n, weight).items():
-        char.add_term(tuple(a - b for a, b in zip(lam_eps, wt)), deg, count)
-    return char
+    return GradedCharacter({
+        tuple(map(sub, lam_eps, wt)): QPolynomial(dict(degs))
+        for wt, degs in graded_count(family, n, weight).items()
+    })
 
 
 def qchar_branching(n: int, weight: tuple[int, ...]) -> GradedCharacter:
@@ -168,29 +171,33 @@ def qchar_branching(n: int, weight: tuple[int, ...]) -> GradedCharacter:
     weight = check_weight("odd", n, weight)
     lam_eps = fundamental_to_eps(weight)
     lam_part = partition_from_fundamental(weight)
-    char = GradedCharacter()
+    terms: dict[Weight, dict[int, int]] = {}
     for mut in delta_set(weight):
-        sub = fundamental_from_partition(
-            tuple(a - b for a, b in zip(lam_part, mut))
-        )
+        even = fundamental_from_partition(tuple(map(sub, lam_part, mut)))
         deg_mut = sum(mut)
         # wt(mutilde) = sum mutilde_i (eps_i - eps_0)
         base = list(lam_eps)
         for i, x in enumerate(mut):
             base[i] -= x
         base[n] += deg_mut
-        for (wt, deg), count in graded_count("even", n, sub).items():
-            char.add_term(
-                tuple(a - b for a, b in zip(base, wt)), deg + deg_mut, count
-            )
-    return char
+        for wt, degs in graded_count("even", n, even).items():
+            w = tuple(map(sub, base, wt))
+            acc = terms.get(w)
+            if acc is None:
+                terms[w] = {deg + deg_mut: c for deg, c in degs}
+            else:   # another branching tuple reached this weight: add
+                for deg, c in degs:
+                    deg += deg_mut
+                    acc[deg] = acc.get(deg, 0) + c
+    return GradedCharacter({w: QPolynomial(acc) for w, acc in terms.items()})
 
 
 def dim(family: str, n: int, weight: tuple[int, ...], method: str = "polytope") -> int:
     """Dimension by lattice-point count, branching sum, or Weyl formula."""
     weight = check_weight(family, n, weight)
     if method == "polytope":
-        return sum(graded_count(family, n, weight).values())
+        return sum(c for degs in graded_count(family, n, weight).values()
+                   for _, c in degs)
     if method == "branching":
         if family != "odd":
             raise ValueError("branching dimension is defined for the odd family")
@@ -206,7 +213,4 @@ def dim(family: str, n: int, weight: tuple[int, ...], method: str = "polytope") 
 def qdim(family: str, n: int, weight: tuple[int, ...]) -> QPolynomial:
     """Graded dimension sum over lattice points of q^deg(s)."""
     weight = check_weight(family, n, weight)
-    out = QPolynomial()
-    for s in lattice_points(family, n, weight):
-        out.add_term(sum(s))
-    return out
+    return QPolynomial(Counter(map(sum, lattice_points(family, n, weight))))

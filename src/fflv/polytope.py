@@ -318,23 +318,29 @@ def _graded_count(family: str, n: int, weight: tuple[int, ...]):
         states = nxt
     (counts,) = states.values()
 
-    out = {}
+    # Many keys share a weight code: decode each code once.
+    by_code: dict[int, list] = {}
     for key, c in counts.items():
-        deg, rest = divmod(key, size)
+        deg, code = divmod(key, size)
+        by_code.setdefault(code, []).append((deg, c))
+    out = {}
+    for code, degs in by_code.items():
         wt = []
         for r, b in zip(radices, bounds):
-            rest, digit = divmod(rest, r)
+            code, digit = divmod(code, r)
             wt.append(digit - b)
-        out[(tuple(wt), deg)] = c
+        out[tuple(wt)] = tuple(sorted(degs))
     return MappingProxyType(out)
 
 
-def graded_count(family: str, n: int, weight) -> Mapping[tuple[Weight, int], int]:
-    """The multiset {(wt(s), deg(s)): count} over the polytope's lattice points.
+def graded_count(family: str, n: int, weight) -> Mapping[Weight, tuple[tuple[int, int], ...]]:
+    """Lattice points counted by weight, then degree: {wt: ((deg, count), ...)}.
 
-    It equals ``Counter(wt_deg(poset, s) for s in lattice_points(...))``
-    but enumerates no point.  The weight is validated and made a tuple
-    before the cache lookup; the cached result is a read-only mapping.
+    ``dict(graded_count(...)[wt])`` equals the {deg: count} map of the
+    points s with wt(s) = wt, as ``Counter(wt_deg(poset, s) ...)`` over
+    ``lattice_points(...)`` gives it, but no point is enumerated.  Degrees
+    ascend.  The weight is validated and made a tuple before the cache
+    lookup; the cached result is a read-only mapping of tuples.
     """
     return _graded_count(family, n, check_weight(family, n, weight))
 

@@ -1,5 +1,6 @@
 """Graded characters, branching sums, and dimension formulas."""
 
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -17,6 +18,12 @@ from fflv.characters import (
     weyl_dim,
 )
 from fflv.polytope import lattice_points
+from fflv.rootsys import (
+    fundamental_from_partition,
+    fundamental_to_eps,
+    partition_from_fundamental,
+)
+from enumeration import flat_counts
 from pbw_module import form, index_weight, lowering_operators, pbw_character
 
 
@@ -53,6 +60,34 @@ def test_weyl_dim_values():
     for m in range(4):
         assert weyl_dim(1, (m,)) == m + 1
     assert weyl_dim(2, (0,)) == 1
+
+
+def fraction_weyl_dim(n, mu):
+    """The Weyl dimension formula of type C_n as a product of Fractions."""
+    padded = tuple(mu) + (0,) * (n - len(mu))
+    l = [padded[i] + n - i for i in range(n)]
+    r = [n - i for i in range(n)]
+    val = Fraction(1)
+    for i in range(n):
+        val *= Fraction(l[i], r[i])
+        for j in range(i + 1, n):
+            val *= Fraction(l[i] ** 2 - l[j] ** 2, r[i] ** 2 - r[j] ** 2)
+    assert val.denominator == 1
+    return int(val)
+
+
+def test_weyl_dim_matches_fraction_formula():
+    checked = 0
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for mu in product(range(1, 5), repeat=k):
+                if list(mu) == sorted(mu, reverse=True):
+                    value = weyl_dim(n, mu)
+                    assert type(value) is int
+                    assert value == fraction_weyl_dim(n, mu)
+                    checked += 1
+    # partitions in an n x 4 box: C(n + 4, 4) for n = 1..5
+    assert checked == 5 + 15 + 35 + 70 + 126
 
 
 def test_weyl_dim_rejects_bad_input():
@@ -202,6 +237,45 @@ def test_counting_routes_match_enumeration():
                 graded = qchar_polytope(family, n, weight).qdim()
                 assert qdim(family, n, weight) == graded
                 assert dim(family, n, weight) == len(lattice_points(family, n, weight))
+
+
+def reference_qchar_polytope(family, n, weight):
+    """The character assembled term by term from the enumerated points."""
+    lam_eps = fundamental_to_eps(weight)
+    char = GradedCharacter()
+    for (wt, deg), count in flat_counts(family, n, weight).items():
+        char.add_term(tuple(a - b for a, b in zip(lam_eps, wt)), deg, count)
+    return char
+
+
+def reference_qchar_branching(n, weight):
+    """The branching character assembled term by term from enumerated
+    even-family points."""
+    lam_eps = fundamental_to_eps(weight)
+    lam_part = partition_from_fundamental(weight)
+    char = GradedCharacter()
+    for mut in delta_set(weight):
+        sub = fundamental_from_partition(tuple(a - b for a, b in zip(lam_part, mut)))
+        base = list(lam_eps)
+        for i, x in enumerate(mut):
+            base[i] -= x
+        base[n] += sum(mut)
+        for (wt, deg), count in flat_counts("even", n, sub).items():
+            char.add_term(tuple(a - b for a, b in zip(base, wt)), deg + sum(mut), count)
+    return char
+
+
+def test_characters_match_term_by_term_assembly():
+    cases = [(family, n, weight)
+             for family in ("odd", "even")
+             for n in (1, 2, 3)
+             for weight in product(range(3), repeat=n)]
+    cases.append(("odd", 3, (2, 2, 1)))
+    for family, n, weight in cases:
+        assert qchar_polytope(family, n, weight) == reference_qchar_polytope(
+            family, n, weight)
+        if family == "odd":
+            assert qchar_branching(n, weight) == reference_qchar_branching(n, weight)
 
 
 def test_dim_rejects_bad_combinations():

@@ -1,6 +1,5 @@
 """Inequality systems, lattice point enumeration, and polytope identities."""
 
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +23,8 @@ from fflv.polytope import (
     slice_verify,
     violated_paths,
 )
-from fflv.rootsys import RootLabel, build_poset, wt_deg
+from fflv.rootsys import RootLabel
+from enumeration import flat_counts
 
 
 def L(row, col, barred=False):
@@ -134,9 +134,12 @@ def test_walk_matches_oracles_property(case):
 
 
 def wt_deg_counter(family, n, weight):
-    """The graded count's oracle: wt_deg over the enumerated points."""
-    poset = build_poset(family, n)
-    return Counter(wt_deg(poset, s) for s in lattice_points(family, n, weight))
+    """The graded count's oracle: wt_deg over the enumerated points, grouped
+    by weight into ascending (degree, count) pairs."""
+    grouped = {}
+    for (wt, deg), count in flat_counts(family, n, weight).items():
+        grouped.setdefault(wt, {})[deg] = count
+    return {wt: tuple(sorted(degs.items())) for wt, degs in grouped.items()}
 
 
 def test_graded_count_matches_enumeration_sweep():
@@ -155,9 +158,16 @@ def test_graded_count_matches_enumeration_property(case):
 
 def test_graded_count_is_read_only():
     counts = graded_count("odd", 1, (1,))
-    assert counts == {((0, 0), 0): 1, ((1, -1), 1): 1, ((2, 0), 1): 1}
+    assert counts == {(0, 0): ((0, 1),), (1, -1): ((1, 1),), (2, 0): ((1, 1),)}
     with pytest.raises(TypeError):
-        counts[((0, 0), 0)] = 2
+        counts[(0, 0)] = ((0, 2),)
+    with pytest.raises(TypeError):
+        counts[(0, 0)][0] = (0, 2)
+    with pytest.raises(TypeError):
+        counts[(0, 0)][0][1] = 2
+    # Inner (degree, count) pairs are read-only at every rank.
+    for degs in graded_count("odd", 2, (1, 1)).values():
+        assert type(degs) is tuple and all(type(pair) is tuple for pair in degs)
 
 
 @pytest.mark.parametrize("bump", [(0, 2), (1, 3), (1, -2)])
@@ -391,7 +401,9 @@ def test_ehrhart_matches_enumeration():
         dilates = [tuple(t * m for m in weight) for t in range(t_max + 1)]
         counts = ehrhart_counts(family, n, weight, t_max)
         assert counts == tuple(len(lattice_points(family, n, w)) for w in dilates)
-        assert counts == tuple(sum(graded_count(family, n, w).values()) for w in dilates)
+        assert counts == tuple(
+            sum(c for degs in graded_count(family, n, w).values() for _, c in degs)
+            for w in dilates)
 
 
 def newton_diffs(seq):
