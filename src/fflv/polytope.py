@@ -131,31 +131,36 @@ def slack_search(by_coord, bounds) -> tuple[LatticePoint, ...]:
     """Nonnegative integer points whose sum over each row r is at most bounds[r].
 
     ``by_coord[k]`` lists the rows whose support holds coordinate k; every
-    coordinate must lie on some row.  Points come out in lexicographic order.
+    coordinate must lie on some row.  Points come out in lexicographic order:
+    like `order_walk`, an odometer raises the last coordinate that every row
+    through it still has slack for and zeroes the later ones, without
+    recursing per coordinate.
     """
+    # A negative bound admits not even the zero point; otherwise zero is the first.
+    if any(min(bounds[r] for r in rows) < 0 for rows in by_coord):
+        return ()
     ncoord = len(by_coord)
     slack = list(bounds)
     value = [0] * ncoord
     out: list[LatticePoint] = []
-
-    def walk(k: int) -> None:
-        if k == ncoord:
-            out.append(tuple(value))
-            return
-        rows = by_coord[k]
-        vmax = min(slack[r] for r in rows)
-        for v in range(vmax + 1):
-            value[k] = v
+    while True:
+        out.append(tuple(value))
+        k = ncoord - 1
+        while k >= 0:
+            rows = by_coord[k]
+            if all(map(slack.__getitem__, rows)):
+                break
+            v = value[k]
             if v:
+                value[k] = 0
                 for r in rows:
-                    slack[r] -= 1
-            walk(k + 1)
+                    slack[r] += v
+            k -= 1
+        if k < 0:
+            return tuple(out)
+        value[k] += 1
         for r in rows:
-            slack[r] += vmax
-        value[k] = 0
-
-    walk(0)
-    return tuple(out)
+            slack[r] -= 1
 
 
 def enumerate_points(system: InequalitySystem) -> tuple[LatticePoint, ...]:
@@ -427,10 +432,9 @@ def slice_verify(n: int, lam: tuple[int, ...]) -> Counterexample | None:
     Labels away from column n+1 agree verbatim between the two posets, so
     the identification is the identity on (row, col) pairs.
     """
-    if len(lam) != n:
-        raise ValueError("weight length must equal the rank")
-    odd_pts = set(lattice_points("odd", n, tuple(lam)))
-    even_sys = inequalities("even", n + 1, tuple(lam) + (0,))
+    lam = check_weight("odd", n, lam)
+    odd_pts = set(lattice_points("odd", n, lam))
+    even_sys = inequalities("even", n + 1, lam + (0,))
     keep = [
         k
         for k, root in enumerate(even_sys.poset.roots)
@@ -458,6 +462,7 @@ def ehrhart_counts(
     independent of the DP that characters and `dim` run on: comparing them
     with a dimension formula checks the walk.
     """
+    lam = check_weight(family, n, lam)
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     return tuple(

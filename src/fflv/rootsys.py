@@ -297,8 +297,7 @@ def wt_deg(poset: RootPoset, s: LatticePoint) -> tuple[Weight, int]:
 
 def fundamental_to_eps(weight: tuple[int, ...]) -> Weight:
     """eps-coordinates (eps_1, ..., eps_n, eps_0) of sum m_i omega_i."""
-    n = len(weight)
-    return tuple(sum(weight[i:]) for i in range(n)) + (0,)
+    return partition_from_fundamental(weight) + (0,)
 
 
 def partition_from_fundamental(weight: tuple[int, ...]) -> tuple[int, ...]:

@@ -13,7 +13,9 @@ that and nothing stronger, since the leading coefficient has no closed form.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .polytope import Counterexample
@@ -60,12 +62,35 @@ def _bracket(x: dict, y: dict) -> dict:
     return {pos: c for pos, c in out.items() if c}
 
 
-def _anchor(label: RootLabel, n: int) -> tuple[int, int]:
-    """Matrix position occupied by this generator and nothing else."""
-    i, j = label.row, label.col
-    if not label.barred:
-        return (2 * n + 1, i) if j == n else (j + 1, i)
-    return (n + i, j) if i != j else (n + i, i)
+@lru_cache(maxsize=1024)
+def _derivation_rules(n: int, op: DerivationId):
+    """Action of op on the rank-n generators: variable index -> (target
+    index, coefficient).  Read-only, since every Straightener of rank n
+    shares it."""
+    odd = build_poset("odd", n)
+    rules: dict[int, tuple[int, int]] = {}
+    if op.kind == "root":
+        even = build_poset("even", n)
+        alpha = even.roots[even.index(op.root)].eps
+        eps_to_var = {r.eps: k for k, r in enumerate(odd.roots)}
+        for k, r in enumerate(odd.roots):
+            tgt = eps_to_var.get(tuple(a - b for a, b in zip(r.eps, alpha)))
+            if tgt is not None:
+                rules[k] = (tgt, 1)
+    elif op.kind == "special":
+        # A generator's anchor is the first entry of its matrix, a position
+        # no other generator occupies; the lowest-index anchor hit wins.
+        labels = odd.labels()
+        anchor = {next(iter(_matrix(lab, n))): k for k, lab in enumerate(labels)}
+        x = {(2 * n + 1, n + 1): 1}
+        for k, lab in enumerate(labels):
+            br = _bracket(x, _matrix(lab, n))
+            hits = [(anchor[pos], c) for pos, c in br.items() if pos in anchor]
+            if hits:
+                rules[k] = min(hits)
+    else:
+        raise ValueError(f"unknown derivation kind {op.kind!r}")
+    return MappingProxyType(rules)
 
 
 class Straightener:
@@ -76,113 +101,72 @@ class Straightener:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("rank must be positive")
-        self.n = n
         self.poset = build_poset("odd", n)
+        self.n = n
         self.labels = self.poset.labels()
         self.nvars = len(self.labels)
-        self._index = {lab: k for k, lab in enumerate(self.labels)}
-        self._eps = {r.label: r.eps for r in self.poset.roots}
-        even = build_poset("even", n)
-        self._even_labels = frozenset(even.labels())
-        self._even_eps = {r.label: r.eps for r in even.roots}
-        self._eps_to_var = {r.eps: k for k, r in enumerate(self.poset.roots)}
-        # Variable order: all of row n beats row n-1 and so on; within a row
-        # the rightmost column of the alphabet is largest.
-        self._rank = sorted(
-            range(self.nvars),
-            key=lambda k: (self.labels[k].row, self.labels[k].col_pos(n)),
-            reverse=True,
-        )
-        self._row_vars = {
-            i: [k for k, lab in enumerate(self.labels) if lab.row == i]
-            for i in range(1, n + 1)
-        }
-        self._rules: dict[DerivationId, dict[int, tuple[int, int]]] = {}
+        self._even = build_poset("even", n)
+        # Canonical order is row-major, so each row's variables form a slice.
+        rows = [lab.row for lab in self.labels]
+        self._row_slices = [
+            slice(bisect_left(rows, i), bisect_right(rows, i)) for i in range(1, n + 1)
+        ]
+        self._col_vars: dict[tuple[int, bool], list[int]] = {}
+        for k, lab in enumerate(self.labels):
+            self._col_vars.setdefault((lab.col, lab.barred), []).append(k)
 
     # -- monomial order ----------------------------------------------------
 
     def row_sums(self, s: tuple[int, ...]) -> tuple[int, ...]:
         """(s_{1,.}, ..., s_{n,.})"""
-        return tuple(
-            sum(s[k] for k in self._row_vars[i]) for i in range(1, self.n + 1)
-        )
+        return tuple(sum(s[r]) for r in self._row_slices)
 
     def column_sum(self, s: tuple[int, ...], col: int, barred: bool) -> int:
         """s_{.,col} or s_{.,colbar}: the sum over rows of one column."""
-        total = 0
-        for r in range(1, col + 1):
-            k = self._index.get(RootLabel(r, col, barred))
-            if k is not None:
-                total += s[k]
-        return total
+        return sum(s[k] for k in self._col_vars.get((col, barred), ()))
 
-    def succ_compare(self, s: tuple[int, ...], t: tuple[int, ...]) -> int:
-        """1 if s comes strictly before t in the straightening order, -1 if
-        strictly after, 0 if equal.
+    def order_key(self, s: tuple[int, ...]) -> tuple:
+        """Sort key of the straightening order: s comes before t exactly when
+        order_key(s) > order_key(t).
 
         Larger total degree wins; on equal degree the smaller reversed row-sum
         vector (row n first) wins; ties break by exponents along the variable
-        order.
+        order, in which all of row n beats row n-1 and so on and within a row
+        the rightmost column of the alphabet is largest: the reverse of the
+        canonical order.  The key holds every exponent, so it is injective.
         """
-        if s == t:
-            return 0
-        ds, dt = sum(s), sum(t)
-        if ds != dt:
-            return 1 if ds > dt else -1
-        rs = self.row_sums(s)[::-1]
-        rt = self.row_sums(t)[::-1]
-        if rs != rt:
-            return 1 if rs < rt else -1
-        for k in self._rank:
-            if s[k] != t[k]:
-                return 1 if s[k] > t[k] else -1
-        return 0
+        return (
+            sum(s),
+            tuple(-sum(s[r]) for r in reversed(self._row_slices)),
+            tuple(s[::-1]),
+        )
+
+    def succ_compare(self, s: tuple[int, ...], t: tuple[int, ...]) -> int:
+        """1 if s comes strictly before t in the straightening order, -1 if
+        strictly after, 0 if equal."""
+        ks, kt = self.order_key(s), self.order_key(t)
+        return (ks > kt) - (ks < kt)
 
     # -- derivations -------------------------------------------------------
 
     def root_derivation(self, label: RootLabel) -> DerivationId:
-        if label not in self._even_labels:
+        if label not in self._even:
             raise ValueError(f"{label} is not an even-family positive root")
         return DerivationId("root", label)
 
     def special_derivation(self) -> DerivationId:
         return DerivationId("special")
 
-    def derivation_rules(self, op: DerivationId) -> dict[int, tuple[int, int]]:
+    def derivation_rules(self, op: DerivationId):
         """Action on generators: variable index -> (target index, coefficient)."""
-        cached = self._rules.get(op)
-        if cached is not None:
-            return cached
-        rules: dict[int, tuple[int, int]] = {}
-        if op.kind == "root":
-            alpha = self._even_eps[op.root]
-            for k, lab in enumerate(self.labels):
-                diff = tuple(a - b for a, b in zip(self._eps[lab], alpha))
-                tgt = self._eps_to_var.get(diff)
-                if tgt is not None:
-                    rules[k] = (tgt, 1)
-        elif op.kind == "special":
-            x = {(2 * self.n + 1, self.n + 1): 1}
-            for k, lab in enumerate(self.labels):
-                br = _bracket(x, _matrix(lab, self.n))
-                for tgt, tlab in enumerate(self.labels):
-                    c = br.get(_anchor(tlab, self.n), 0)
-                    if c:
-                        rules[k] = (tgt, c)
-                        break
-        else:
-            raise ValueError(f"unknown derivation kind {op.kind!r}")
-        self._rules[op] = rules
-        return rules
+        return _derivation_rules(self.n, op)
 
     def apply_derivation(self, op: DerivationId, poly: dict) -> dict:
         """One application, extended to products by the Leibniz rule."""
-        rules = self.derivation_rules(op)
+        rules = tuple(self.derivation_rules(op).items())
         out: dict[tuple[int, ...], int] = {}
         for mono, coeff in poly.items():
-            for k, (tgt, c) in rules.items():
+            for k, (tgt, c) in rules:
                 e = mono[k]
                 if not e:
                     continue
@@ -238,43 +222,22 @@ class Straightener:
         rows = self.row_sums(s)
         col = self.column_sum
 
-        delta1: list[tuple[DerivationId, int]] = []
-        if i >= 2:
-            exp = col(s, i, True) + rows[i - 1]
-            if exp:
-                delta1.append(
-                    (self.root_derivation(RootLabel(1, i - 1, False)), exp)
-                )
-        for j in range(i + 1, n + 1):
-            exp = col(s, j - 1, False)
-            if exp:
-                delta1.append(
-                    (self.root_derivation(RootLabel(j, j, True)), exp)
-                )
-        exp = col(s, n, False)
-        if exp:
-            delta1.append((self.special_derivation(), exp))
-        for j in range(n - 1, i - 1, -1):
-            exp = col(s, j, False) + col(s, j + 1, True)
-            if exp:
-                delta1.append(
-                    (self.root_derivation(RootLabel(1, j, False)), exp)
-                )
-        for k in range(i, 1, -1):
-            exp = col(s, k - 1, False)
-            if exp:
-                delta1.append(
-                    (self.root_derivation(RootLabel(1, k, True)), exp)
-                )
+        def d(row: int, column: int, barred: bool = False) -> DerivationId:
+            return self.root_derivation(RootLabel(row, column, barred))
 
-        delta2: list[tuple[DerivationId, int]] = []
-        for j in range(1, i - 1):
-            exp = rows[j]
-            if exp:
-                delta2.append(
-                    (self.root_derivation(RootLabel(1, j, False)), exp)
-                )
-        return tuple(delta1), tuple(delta2)
+        delta1 = [(d(1, i - 1), col(s, i, True) + rows[i - 1])] if i >= 2 else []
+        delta1 += [(d(j, j, True), col(s, j - 1, False)) for j in range(i + 1, n + 1)]
+        delta1.append((self.special_derivation(), col(s, n, False)))
+        delta1 += [
+            (d(1, j), col(s, j, False) + col(s, j + 1, True))
+            for j in range(n - 1, i - 1, -1)
+        ]
+        delta1 += [(d(1, k, True), col(s, k - 1, False)) for k in range(i, 1, -1)]
+        delta2 = [(d(1, j), rows[j]) for j in range(1, i - 1)]
+        return (
+            tuple(factor for factor in delta1 if factor[1]),
+            tuple(factor for factor in delta2 if factor[1]),
+        )
 
     def straighten(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> dict:
         """Apply both operator words to the pure power of f_{1,1bar}."""
@@ -282,7 +245,7 @@ class Straightener:
         sigma = sum(s)
         if sigma < sum(weight) + 1:
             raise ValueError("exponent vector does not violate the path bound")
-        start_var = self._index[RootLabel(1, 1, True)]
+        start_var = self.poset.index(RootLabel(1, 1, True))
         mono = [0] * self.nvars
         mono[start_var] = sigma
         poly = {tuple(mono): 1}
@@ -298,8 +261,9 @@ class Straightener:
         poly = self.straighten(weight, s, path)
         if not poly.get(s):
             return Counterexample("leading_term_missing", s)
+        lead = self.order_key(s)
         for t in poly:
-            if t != s and self.succ_compare(s, t) != 1:
+            if t != s and self.order_key(t) > lead:
                 return Counterexample("term_not_smaller", t)
         return None
 
@@ -307,7 +271,7 @@ class Straightener:
 
     def poly_to_json(self, poly: dict) -> list[dict]:
         """Term list sorted by the straightening order, greatest first."""
-        monos = sorted(poly, key=cmp_to_key(self.succ_compare), reverse=True)
+        monos = sorted(poly, key=self.order_key, reverse=True)
         return [{"exponents": list(t), "coeff": poly[t]} for t in monos]
 
     def word_to_json(self, word) -> list[dict]:

@@ -158,6 +158,23 @@ def test_order_points_high_rank():
     assert order_points(poset) == ((0,) * len(poset),)
 
 
+def test_long_marked_chain():
+    # lo(0) < x_1 < ... < x_1200 < hi(1): one chain row with 1,200 unmarked
+    # elements, more than the recursion limit.
+    length = 1200
+    elements = ("lo",) + tuple(range(1, length + 1)) + ("hi",)
+    poset = MarkedPoset(elements, tuple(zip(elements, elements[1:])),
+                        (("lo", 0), ("hi", 1)))
+    chain = chain_points(poset)
+    assert len(chain) == length + 1
+    assert chain[0] == (0,) * length
+    assert chain == tuple(sorted(chain))
+    assert all(sum(p) <= 1 for p in chain)
+    # Transfer is a bijection onto the chain points, so there are as many
+    # order points.
+    assert abs_verify(poset) is None
+
+
 def test_abs_on_library_posets():
     for family, n, weight in [
         ("odd", 2, (1, 1)),

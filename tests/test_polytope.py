@@ -208,14 +208,19 @@ def test_lattice_points_high_rank():
 
 
 def test_lattice_points_normalizes_weight():
-    # graded_count validates the same way before its own cache.
+    # graded_count validates the same way before its own cache, and
+    # ehrhart_counts before it dilates: t = 0 would hide a negative weight.
+    def ehrhart_at_zero(family, n, weight):
+        return ehrhart_counts(family, n, weight, 0)
+
     assert len(lattice_points("odd", 2, [1, 1])) == 35
-    for count in (lattice_points, graded_count):
+    for count in (lattice_points, graded_count, ehrhart_at_zero):
         assert count("odd", 2, [1, 1]) == count("odd", 2, (1, 1))
         for family, n, weight in (
             ("neither", 2, (1, 1)),
             ("odd", 2, (1,)),
             ("odd", 2, [1, -1]),
+            ("odd", 1, (-1,)),
         ):
             with pytest.raises(ValueError):
                 count(family, n, weight)
@@ -387,8 +392,11 @@ def test_slice_small_instances():
     for lam in ((0,), (1,), (2,)):
         assert slice_verify(1, lam) is None
     assert slice_verify(2, (1, 1)) is None
-    with pytest.raises(ValueError):
+    assert slice_verify(2, [1, 1]) is None
+    with pytest.raises(ValueError, match="weight length must equal the rank"):
         slice_verify(2, (1,))
+    with pytest.raises(ValueError):
+        slice_verify(1, (-1,))
 
 
 def test_ehrhart_rank1():

@@ -1,11 +1,15 @@
 """Derivation operators and the straightening of violating monomials."""
 
+import hashlib
+import json
 import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fflv.rootsys import RootLabel, dyck_paths, wt_deg
+from fflv.rootsys import RootLabel, build_poset, dyck_paths, wt_deg
 from fflv.straightening import DerivationId, Straightener
 
 
@@ -41,6 +45,49 @@ def poly_mul(p, q):
 
 def paths_by_labels(eng):
     return {p.labels: p for p in dyck_paths(eng.poset)}
+
+
+def reference_compare(eng, s, t):
+    """The straightening order as three rules applied in turn."""
+    if s == t:
+        return 0
+    ds, dt = sum(s), sum(t)
+    if ds != dt:
+        return 1 if ds > dt else -1
+    rs = eng.row_sums(s)[::-1]
+    rt = eng.row_sums(t)[::-1]
+    if rs != rt:
+        return 1 if rs < rt else -1
+    # Row n beats row n-1 and so on; in a row the rightmost column wins.
+    rank = sorted(
+        range(eng.nvars),
+        key=lambda k: (eng.labels[k].row, eng.labels[k].col_pos(eng.n)),
+        reverse=True,
+    )
+    for k in rank:
+        if s[k] != t[k]:
+            return 1 if s[k] > t[k] else -1
+    return 0
+
+
+@st.composite
+def exponent_pairs(draw):
+    n = draw(st.integers(1, 4))
+    nvars = len(build_poset("odd", n))
+    vec = st.tuples(*[st.integers(0, 3)] * nvars)
+    s = draw(vec)
+    # Mostly near-ties, so the row-sum and variable rules decide often.
+    t = draw(st.one_of(vec, st.permutations(s).map(tuple)))
+    return n, s, t
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(exponent_pairs())
+def test_order_key_matches_reference_compare(case):
+    n, s, t = case
+    eng = Straightener(n)
+    assert eng.succ_compare(s, t) == reference_compare(eng, s, t)
+    assert (eng.order_key(s) == eng.order_key(t)) == (s == t)
 
 
 def test_succ_compare_degree_rule():
@@ -328,3 +375,47 @@ def test_serialization():
         {"op": "d(1,2bar)", "power": 1},
     ]
     assert str(DerivationId("special")) == "d_special"
+
+
+def straightening_sweep(n, max_coeff):
+    """(weight, vector, path) for every vector `fflv verify straightening` visits."""
+    eng = Straightener(n)
+    paths = [p for p in dyck_paths(eng.poset) if p.start == L(1, 1) and p.end.barred]
+    for bound in range(n * max_coeff + 1):
+        weight = (bound,) + (0,) * (n - 1)
+        for path in paths:
+            idxs = [eng.labels.index(lab) for lab in path.labels]
+            for split in combinations_with_replacement(range(len(idxs)), bound + 1):
+                vec = [0] * eng.nvars
+                for pos in split:
+                    vec[idxs[pos]] += 1
+                yield weight, tuple(vec), path
+
+
+def sha256_json(payload):
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def test_derivation_rules_pinned():
+    payload = []
+    for n in range(1, 6):
+        eng = Straightener(n)
+        ops = [eng.root_derivation(lab) for lab in build_poset("even", n).labels()]
+        ops.append(eng.special_derivation())
+        for op in ops:
+            payload.append([n, str(op), sorted(eng.derivation_rules(op).items())])
+    assert sha256_json(payload) == (
+        "882e604b4709c2ef3fe7b4ab70f00364a6ab5116f15455d2ff93aa87fc439d8c"
+    )
+
+
+def test_straightened_polynomials_pinned():
+    payload = []
+    for n, max_coeff in ((1, 2), (2, 2), (3, 1)):
+        eng = Straightener(n)
+        for weight, vec, path in straightening_sweep(n, max_coeff):
+            payload.append(eng.poly_to_json(eng.straighten(weight, vec, path)))
+    assert len(payload) == 2474
+    assert sha256_json(payload) == (
+        "fcdde34caf156f85535d6ca76e48ffb612d11dd54f3af6bef5958ead6dad1d1e"
+    )
