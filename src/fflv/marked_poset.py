@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import product
 from operator import itemgetter
 
@@ -45,115 +46,65 @@ class MarkedPoset:
 
     ``elements`` fixes the canonical coordinate order: order points are
     tuples over all elements, chain points are tuples over the unmarked
-    elements, both in this order.
+    elements, both in this order.  The poset is translated once into
+    indices into ``elements``, and the functions of this module run on it.
     """
 
     elements: tuple
     covers: tuple
     markings: tuple
 
-    _marking: dict = field(init=False, repr=False, compare=False)
-    _succ: dict = field(init=False, repr=False, compare=False)
-    _pred: dict = field(init=False, repr=False, compare=False)
+    # Per element index: its marking (None where unmarked), successor and
+    # predecessor indices; then a canonical-first topological order.
+    _marking: tuple = field(init=False, repr=False, compare=False)
+    _succ: tuple = field(init=False, repr=False, compare=False)
+    _pred: tuple = field(init=False, repr=False, compare=False)
     _topo: tuple = field(init=False, repr=False, compare=False)
-    # Index arrays for `transfer`: unmarked elements, (index, marking) pairs,
-    # cover index pairs, and (index, predecessor indices) per unmarked element.
-    _unmarked: tuple = field(init=False, repr=False, compare=False)
-    _marked_idx: tuple = field(init=False, repr=False, compare=False)
-    _cover_idx: tuple = field(init=False, repr=False, compare=False)
-    _unmarked_preds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {e: i for i, e in enumerate(self.elements)}
         if len(index) != len(self.elements):
             raise ValueError("duplicate elements")
-        marking = dict(self.markings)
-        for e in marking:
+        marking = [None] * len(index)
+        for e, v in self.markings:
             if e not in index:
                 raise ValueError(f"marking on unknown element {_element_name(e)}")
-        succ = {e: [] for e in self.elements}
-        pred = {e: [] for e in self.elements}
+            if marking[index[e]] is not None:
+                raise ValueError(f"second marking on element {_element_name(e)}")
+            marking[index[e]] = v
+        succ = [[] for _ in index]
+        pred = [[] for _ in index]
         for a, b in self.covers:
             if a not in index or b not in index:
                 raise ValueError("cover on unknown element")
-            succ[a].append(b)
-            pred[b].append(a)
-        object.__setattr__(self, "_marking", marking)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", pred)
-        object.__setattr__(self, "_topo", self._toposort(index))
-        self._check_monotone_markings()
-        unmarked = tuple(e for e in self.elements if e not in marking)
-        object.__setattr__(self, "_unmarked", unmarked)
-        object.__setattr__(
-            self, "_marked_idx", tuple((index[e], v) for e, v in marking.items())
-        )
-        object.__setattr__(
-            self, "_cover_idx", tuple((index[a], index[b]) for a, b in self.covers)
-        )
-        object.__setattr__(
-            self,
-            "_unmarked_preds",
-            tuple((index[e], tuple(index[q] for q in pred[e])) for e in unmarked),
-        )
-
-    def _toposort(self, index: dict) -> tuple:
-        # Canonical-first, so the order is canonical wherever that is a linear extension.
-        indeg = {e: len(self._pred[e]) for e in self.elements}
-        ready = [i for i, e in enumerate(self.elements) if indeg[e] == 0]
-        out = []
-        while ready:
-            i = min(ready)
-            ready.remove(i)
-            e = self.elements[i]
-            out.append(e)
-            for s in self._succ[e]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(index[s])
-        if len(out) != len(self.elements):
-            raise ValueError("cover relation contains a cycle")
-        return tuple(out)
-
-    def _check_monotone_markings(self) -> None:
+            succ[index[a]].append(index[b])
+            pred[index[b]].append(index[a])
+        object.__setattr__(self, "_marking", tuple(marking))
+        object.__setattr__(self, "_succ", tuple(map(tuple, succ)))
+        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
+        object.__setattr__(self, "_topo", _toposort(self._succ, self._pred))
         # Along any chain between marked elements the markings must weakly
-        # increase; propagate the running maximum of marked values downward.
-        best = {e: None for e in self.elements}
-        for e in self._topo:
-            here = best[e]
-            if e in self._marking:
-                m = self._marking[e]
+        # increase; propagate the running maximum of marked values upward.
+        best = [None] * len(marking)
+        for i in self._topo:
+            here, m = best[i], marking[i]
+            if m is not None:
                 if here is not None and here > m:
                     raise ValueError(
-                        f"marking decreases along a chain at {_element_name(e)}"
+                        f"marking decreases along a chain at {_element_name(self.elements[i])}"
                     )
-                here = m if here is None else max(here, m)
-            for s in self._succ[e]:
-                if here is not None and (best[s] is None or best[s] < here):
-                    best[s] = here
-
-    @property
-    def marked(self) -> frozenset:
-        return frozenset(self._marking)
+                here = m
+            if here is not None:
+                for s in succ[i]:
+                    if best[s] is None or best[s] < here:
+                        best[s] = here
 
     @property
     def unmarked(self) -> tuple:
-        return self._unmarked
+        return tuple(e for e, m in zip(self.elements, self._marking) if m is None)
 
     def marking_of(self, e):
-        return self._marking[e]
-
-    def is_marked(self, e) -> bool:
-        return e in self._marking
-
-    def successors(self, e) -> tuple:
-        return tuple(self._succ[e])
-
-    def minimal(self) -> tuple:
-        return tuple(e for e in self.elements if not self._pred[e])
-
-    def maximal(self) -> tuple:
-        return tuple(e for e in self.elements if not self._succ[e])
+        return dict(self.markings)[e]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -165,22 +116,39 @@ class MarkedPoset:
                 [_element_name(a), _element_name(b)] for a, b in self.covers
             ],
             "markings": {
-                _element_name(e): v
-                for e, v in sorted(
-                    self._marking.items(),
-                    key=lambda it: self.elements.index(it[0]),
-                )
+                _element_name(e): m
+                for e, m in zip(self.elements, self._marking)
+                if m is not None
             },
         }
 
 
+def _toposort(succ: tuple, pred: tuple) -> tuple:
+    # Canonical-first, so the order is canonical wherever that is a linear extension.
+    indeg = [len(p) for p in pred]
+    ready = [i for i, d in enumerate(indeg) if d == 0]     # ascending: a heap
+    out = []
+    while ready:
+        i = heappop(ready)
+        out.append(i)
+        for s in succ[i]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                heappush(ready, s)
+    if len(out) != len(succ):
+        raise ValueError("cover relation contains a cycle")
+    return tuple(out)
+
+
 def _require_marked_extremes(poset: MarkedPoset) -> None:
-    for e in poset.minimal() + poset.maximal():
-        if not poset.is_marked(e):
-            raise ValueError(
-                f"extremal element {_element_name(e)} is unmarked; "
-                "the polytope would be unbounded"
-            )
+    # Minimal elements first, then maximal ones, each in canonical order.
+    for adjacent in (poset._pred, poset._succ):
+        for e, m, near in zip(poset.elements, poset._marking, adjacent):
+            if m is None and not near:
+                raise ValueError(
+                    f"extremal element {_element_name(e)} is unmarked; "
+                    "the polytope would be unbounded"
+                )
 
 
 def order_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
@@ -191,26 +159,28 @@ def order_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
     element from the largest value below it to the least marking above it.
     """
     _require_marked_extremes(poset)
-    marking = poset._marking
-    upper: dict = {}
-    for e in reversed(poset._topo):
-        upper[e] = marking[e] if e in marking else min(upper[s] for s in poset._succ[e])
-    walk = [e for e in poset._topo if e not in marking]
-    pos = {e: k for k, e in enumerate(walk)}
-    lowest = min(marking.values(), default=0)     # at or below every value
-    floor = [max((marking[q] for q in poset._pred[e] if q in marking), default=lowest)
-             for e in walk]
-    preds = [[pos[q] for q in poset._pred[e] if q in pos] for e in walk]
+    marking, succ, pred = poset._marking, poset._succ, poset._pred
+    upper = list(marking)
+    for i in reversed(poset._topo):
+        if upper[i] is None:
+            upper[i] = min(upper[s] for s in succ[i])
+    walk = [i for i in poset._topo if marking[i] is None]
+    marked = [i for i, m in enumerate(marking) if m is not None]
     # Each canonical slot indexes into (walked values + markings).
-    marks = tuple(marking.values())
-    mark_slot = {e: len(walk) + j for j, e in enumerate(marking)}
-    slots = [pos[e] if e in pos else mark_slot[e] for e in poset.elements]
+    slots = [0] * len(marking)
+    for k, i in enumerate(walk + marked):
+        slots[i] = k
+    marks = tuple(marking[i] for i in marked)
+    lowest = min(marks, default=0)     # at or below every value
+    floor = [max((marking[q] for q in pred[i] if marking[q] is not None), default=lowest)
+             for i in walk]
+    preds = [[slots[q] for q in pred[i] if marking[q] is None] for i in walk]
     if len(slots) < 2:      # no walked element, and itemgetter needs two slots
-        return (tuple(marks),)
+        return (marks,)
     pick = itemgetter(*slots)
     points = [
         pick(x + marks)
-        for x in order_walk(floor, preds, [upper[e] for e in walk], False)
+        for x in order_walk(floor, preds, [upper[i] for i in walk], False)
     ]
     # On FFLV and random posets the canonical-first walk is sorted already.
     return tuple(sorted(points))
@@ -223,22 +193,23 @@ def chain_constraints(poset: MarkedPoset) -> tuple[tuple[frozenset, int], ...]:
     contributes sum(x_i) <= marking(b) - marking(a).  Chains without
     unmarked interior impose nothing.
     """
+    elements, marking, succ = poset.elements, poset._marking, poset._succ
     rows: list[tuple[frozenset, int]] = []
     seen = set()
-    for a in sorted(poset.marked, key=poset.elements.index):
-        base = poset.marking_of(a)
+    for a, base in enumerate(marking):
+        if base is None:
+            continue
         stack = [(a, ())]
         while stack:
-            e, interior = stack.pop()
-            for s in poset.successors(e):
-                if poset.is_marked(s):
-                    if interior:
-                        row = (frozenset(interior), poset.marking_of(s) - base)
-                        if row not in seen:
-                            seen.add(row)
-                            rows.append(row)
-                else:
+            i, interior = stack.pop()
+            for s in succ[i]:
+                if marking[s] is None:
                     stack.append((s, interior + (s,)))
+                elif interior:
+                    row = (frozenset(elements[k] for k in interior), marking[s] - base)
+                    if row not in seen:
+                        seen.add(row)
+                        rows.append(row)
     return tuple(rows)
 
 
@@ -251,12 +222,11 @@ def chain_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
     _require_marked_extremes(poset)
     coords = poset.unmarked
     rows = chain_constraints(poset)
-    by_coord = [
-        [r for r, (support, _) in enumerate(rows) if e in support] for e in coords
-    ]
-    for e, on in zip(coords, by_coord):
-        if not on:
-            raise ValueError(f"element {_element_name(e)} lies on no marked chain")
+    coord = {e: k for k, e in enumerate(coords)}
+    by_coord = [[] for _ in coords]
+    for r, (support, _) in enumerate(rows):
+        for e in support:
+            by_coord[coord[e]].append(r)
     return slack_search(by_coord, [bound for _, bound in rows])
 
 
@@ -268,32 +238,34 @@ def transfer(poset: MarkedPoset, x) -> tuple[int, ...]:
     x_p - max over covers q of p of x_q.
     """
     if isinstance(x, dict):
-        for e, v in poset._marking.items():
-            if x.get(e) != v:
+        for e, v in zip(poset.elements, poset._marking):
+            if e not in x and v is None:
+                raise ValueError(f"order point has no value for {_element_name(e)}")
+            if e not in x:
                 raise ValueError(f"marked element {_element_name(e)} must equal {v}")
         x = tuple(x[e] for e in poset.elements)
-    else:
-        if len(x) != len(poset.elements):
-            raise ValueError("order point has the wrong length")
-        for i, v in poset._marked_idx:
-            if x[i] != v:
-                raise ValueError(
-                    f"marked element {_element_name(poset.elements[i])} must equal {v}"
-                )
-    for a, b in poset._cover_idx:
-        if x[a] > x[b]:
-            raise ValueError("labelling is not monotone; not an order point")
-    out = []
-    for i, preds in poset._unmarked_preds:
-        if not preds:
-            raise ValueError(
-                f"unmarked element {_element_name(poset.elements[i])} has no predecessor"
-            )
-        low = x[preds[0]]
-        for q in preds:
+    elif len(x) != len(poset.elements):
+        raise ValueError("order point has the wrong length")
+    # One pass over the elements; a wrong marking is reported before a
+    # decreasing cover, and that before an unmarked element with no cover below.
+    out, fault = [], None
+    for e, xe, v, below in zip(poset.elements, x, poset._marking, poset._pred):
+        if v is not None and xe != v:
+            raise ValueError(f"marked element {_element_name(e)} must equal {v}")
+        if not below:
+            if v is None and fault is None:
+                fault = f"unmarked element {_element_name(e)} has no predecessor"
+            continue
+        low = x[below[0]]
+        for q in below:
             if x[q] > low:
                 low = x[q]
-        out.append(x[i] - low)
+        if xe < low:
+            fault = "labelling is not monotone; not an order point"
+        elif v is None:
+            out.append(xe - low)
+    if fault:
+        raise ValueError(fault)
     return tuple(out)
 
 
@@ -461,22 +433,19 @@ def n1_report(max_k: int, max_coeff: int) -> dict:
     """
     results = []
     for attachment in n1_attachments:
-        checked = 0
-        failure = None
-        for k in range(1, max_k + 1):
-            for m in product(range(max_coeff + 1), repeat=k - 1):
-                expected = n1_formula(k, m)
-                got = len(chain_points(n1_family_poset(k, m, attachment)))
-                checked += 1
-                if got != expected:
-                    failure = {
-                        "k": k,
-                        "m": list(m),
-                        "count": got,
-                        "formula": expected,
-                    }
-                    break
-            if failure:
+        checked, failure = 0, None
+        cases = ((k, m) for k in range(1, max_k + 1)
+                 for m in product(range(max_coeff + 1), repeat=k - 1))
+        for checked, (k, m) in enumerate(cases, start=1):
+            expected = n1_formula(k, m)
+            got = len(chain_points(n1_family_poset(k, m, attachment)))
+            if got != expected:
+                failure = {
+                    "k": k,
+                    "m": list(m),
+                    "count": got,
+                    "formula": expected,
+                }
                 break
         results.append(
             {

@@ -108,8 +108,9 @@ def test_transfer_computes_each_point_set_once(capsys, monkeypatch):
 
 
 # SHA-256 of stdout, recorded before characters and dimensions (and with
-# them `points --count`) moved from enumeration to the graded count; every
-# command exits 0.
+# them `points --count`) moved from enumeration to the graded count, and the
+# `transfer` and `verify abs` digests before `MarkedPoset` moved to its index
+# form; every command exits 0.
 PINNED_OUTPUT_SHA256 = [
     ("char --family odd --n 3 --weight 2,2,1",
      "e3b36003691605c94d7d6ca08446b7d07943826f0c5f32cb716b29b2897e283b"),
@@ -143,11 +144,18 @@ PINNED_OUTPUT_SHA256 = [
      "3d95ab770218af8720643bc3dd59c133984382d0be879b5370dd4cc0220ece11"),
     ("points --family odd --n 1 --weight 0 --count",
      "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("transfer --family odd --n 2 --weight 1,1",
+     "28290496720ba9e9caab174d6479d41eea693c2a8127efbed4ac9f61d7dbfeca"),
+    ("transfer --family even --n 3 --weight 1,0,1",
+     "85773454c02bd7e5dd682f595eccf973907ac5bcd369ca19bdc896392c1b2ddf"),
+    ("verify abs --family odd --n 3 --max-coeff 1",
+     "10c3c0d0a70ca3b56ae7dac67a76a4d20bac86896669a915d2be64ed4bc98472"),
 ]
 
 
 @pytest.mark.parametrize("command, digest", PINNED_OUTPUT_SHA256)
 def test_counting_verbs_output_pinned(capsys, command, digest):
+    """char, dim, ehrhart, points --count, transfer and verify abs stay byte-identical."""
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -109,6 +109,8 @@ def test_transfer_messages_and_mapping_input():
         transfer(poset, {L(1, 1): 0, L(1, 1, True): 0, ("u", 1): 1, ("v", 1): 1})
     with pytest.raises(ValueError, match="wrong length"):
         transfer(poset, (0, 0, 0))
+    with pytest.raises(ValueError, match=r"no value for \(1,1\)"):
+        transfer(poset, {("t", 1): 0, ("u", 1): 1, ("v", 1): 1})
     assert poset.unmarked == (L(1, 1), L(1, 1, True))
     # A mapping and a tuple over the canonical order give the same image.
     poset = fflv_marked_poset("odd", 2, (1, 1))
@@ -135,11 +137,25 @@ def brute_order_points(poset):
     return tuple(sorted(out))
 
 
+def relabel(poset, perm):
+    """The poset with element e renamed perm[e], listed as range(len(poset)),
+    so the canonical order is in general no linear extension."""
+    return MarkedPoset(
+        tuple(range(len(poset))),
+        tuple((perm[a], perm[b]) for a, b in poset.covers),
+        tuple((perm[e], v) for e, v in poset.markings),
+    )
+
+
 @settings(deadline=None, database=None, max_examples=150)
 @given(st.integers(0, 2**32 - 1))
 def test_order_points_match_brute_force(seed):
-    poset = random_marked_poset(random.Random(seed))
+    rng = random.Random(seed)
+    poset = random_marked_poset(rng)
     assert order_points(poset) == brute_order_points(poset)
+    shuffled = relabel(poset, rng.sample(range(len(poset)), len(poset)))
+    assert order_points(shuffled) == brute_order_points(shuffled)
+    assert abs_verify(shuffled) is None
 
 
 def test_order_points_edge_cases():
@@ -205,6 +221,8 @@ def test_validation_errors():
         MarkedPoset(("a",), (), (("ghost", 0),))
     with pytest.raises(ValueError):
         MarkedPoset(("a", "b"), (("a", "b"),), (("a", 2), ("b", 1)))
+    with pytest.raises(ValueError, match="second marking on element b"):
+        MarkedPoset(("a", "b"), (("a", "b"),), (("a", 0), ("b", 1), ("b", 2)))
     unmarked_min = MarkedPoset(("a", "b"), (("a", "b"),), (("b", 3),))
     with pytest.raises(ValueError):
         order_points(unmarked_min)
