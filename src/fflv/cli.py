@@ -112,10 +112,8 @@ def _cmd_paths(args) -> int:
 def _cmd_ineq(args) -> int:
     system = inequalities(args.family, args.n, args.weight)
     if args.format == "text":
-        for row in system.rows:
-            terms = " + ".join(
-                f"s{lab}" for lab in sorted(row.support, key=system.poset.index)
-            )
+        for idxs, row in zip(system._row_support_idx, system.rows):
+            terms = " + ".join(f"s{system.poset.roots[k].label}" for k in idxs)
             print(f"{terms} <= {row.bound}")
     else:
         _dump(system.to_json())

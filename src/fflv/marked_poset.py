@@ -46,8 +46,10 @@ class MarkedPoset:
 
     ``elements`` fixes the canonical coordinate order: order points are
     tuples over all elements, chain points are tuples over the unmarked
-    elements, both in this order.  The poset is translated once into
-    indices into ``elements``, and the functions of this module run on it.
+    elements, both in this order.  As in Ardila-Bliem-Salazar, every
+    minimal and every maximal element must be marked.  The poset is
+    checked and translated once into indices into ``elements``, and the
+    functions of this module run on it.
     """
 
     elements: tuple
@@ -98,27 +100,42 @@ class MarkedPoset:
                 for s in succ[i]:
                     if best[s] is None or best[s] < here:
                         best[s] = here
+        # Minimal elements first, then maximal ones, each in canonical order.
+        for adjacent in (self._pred, self._succ):
+            for e, m, near in zip(self.elements, marking, adjacent):
+                if m is None and not near:
+                    raise ValueError(
+                        f"extremal element {_element_name(e)} is unmarked; "
+                        "the polytope would be unbounded"
+                    )
 
     @property
     def unmarked(self) -> tuple:
         return tuple(e for e, m in zip(self.elements, self._marking) if m is None)
 
     def marking_of(self, e):
-        return dict(self.markings)[e]
+        marks = dict(self.markings)
+        if e in marks:
+            return marks[e]
+        if e in self.elements:
+            raise ValueError(f"element {_element_name(e)} is unmarked")
+        raise ValueError(f"unknown element {_element_name(e)}")
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def to_json(self) -> dict:
+        names = [_element_name(e) for e in self.elements]
+        if len(set(names)) < len(names):
+            clash = next(x for k, x in enumerate(names) if x in names[:k])
+            raise ValueError(f"two elements share the display name {clash}")
         return {
-            "elements": [_element_name(e) for e in self.elements],
+            "elements": names,
             "covers": [
                 [_element_name(a), _element_name(b)] for a, b in self.covers
             ],
             "markings": {
-                _element_name(e): m
-                for e, m in zip(self.elements, self._marking)
-                if m is not None
+                name: m for name, m in zip(names, self._marking) if m is not None
             },
         }
 
@@ -140,17 +157,6 @@ def _toposort(succ: tuple, pred: tuple) -> tuple:
     return tuple(out)
 
 
-def _require_marked_extremes(poset: MarkedPoset) -> None:
-    # Minimal elements first, then maximal ones, each in canonical order.
-    for adjacent in (poset._pred, poset._succ):
-        for e, m, near in zip(poset.elements, poset._marking, adjacent):
-            if m is None and not near:
-                raise ValueError(
-                    f"extremal element {_element_name(e)} is unmarked; "
-                    "the polytope would be unbounded"
-                )
-
-
 def order_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
     """Integer labellings that extend the markings monotonically.
 
@@ -158,7 +164,6 @@ def order_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
     slots holding their markings.  `polytope.order_walk` takes each unmarked
     element from the largest value below it to the least marking above it.
     """
-    _require_marked_extremes(poset)
     marking, succ, pred = poset._marking, poset._succ, poset._pred
     upper = list(marking)
     for i in reversed(poset._topo):
@@ -219,15 +224,10 @@ def chain_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
     Each point is a tuple over the unmarked elements in canonical order,
     and the points come out in lexicographic order.
     """
-    _require_marked_extremes(poset)
-    coords = poset.unmarked
+    coord = {e: k for k, e in enumerate(poset.unmarked)}
     rows = chain_constraints(poset)
-    coord = {e: k for k, e in enumerate(coords)}
-    by_coord = [[] for _ in coords]
-    for r, (support, _) in enumerate(rows):
-        for e in support:
-            by_coord[coord[e]].append(r)
-    return slack_search(by_coord, [bound for _, bound in rows])
+    supports = [tuple(coord[e] for e in support) for support, _ in rows]
+    return slack_search(len(coord), supports, [bound for _, bound in rows])
 
 
 def transfer(poset: MarkedPoset, x) -> tuple[int, ...]:
@@ -247,25 +247,23 @@ def transfer(poset: MarkedPoset, x) -> tuple[int, ...]:
     elif len(x) != len(poset.elements):
         raise ValueError("order point has the wrong length")
     # One pass over the elements; a wrong marking is reported before a
-    # decreasing cover, and that before an unmarked element with no cover below.
-    out, fault = [], None
+    # decreasing cover.  Minimal elements are marked, so have no image.
+    out, monotone = [], True
     for e, xe, v, below in zip(poset.elements, x, poset._marking, poset._pred):
         if v is not None and xe != v:
             raise ValueError(f"marked element {_element_name(e)} must equal {v}")
         if not below:
-            if v is None and fault is None:
-                fault = f"unmarked element {_element_name(e)} has no predecessor"
             continue
         low = x[below[0]]
         for q in below:
             if x[q] > low:
                 low = x[q]
         if xe < low:
-            fault = "labelling is not monotone; not an order point"
+            monotone = False
         elif v is None:
             out.append(xe - low)
-    if fault:
-        raise ValueError(fault)
+    if not monotone:
+        raise ValueError("labelling is not monotone; not an order point")
     return tuple(out)
 
 

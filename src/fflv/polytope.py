@@ -10,8 +10,9 @@ largest value below it and the least marking above it, and emits the chain
 coordinates value - (largest value below), which is the transfer map onto
 the polytope.  Every such value extends to a full point, so the walk never
 backtracks, and points come out in lexicographic order.  It builds no Dyck
-path.  `enumerate_points` is the independent oracle: a depth-first search
-over the path inequalities with per-row remaining-slack pruning.
+path.  `enumerate_points` is the independent oracle: `slack_search` runs an
+odometer over the path inequalities, each row a tuple of coordinates, and
+raises a coordinate only while every row through it has slack left.
 
 `graded_count` counts the same points by weight and degree without
 enumerating them: a frontier (transfer-matrix) DP over the same walk, whose
@@ -62,20 +63,15 @@ class InequalitySystem:
     rows: tuple[IneqRow, ...]
     paths: tuple[DyckPath, ...] = field(compare=False, repr=False)
     poset: RootPoset = field(compare=False, repr=False)
+    # Per row: its support as ascending coordinates (root indices).
     _row_support_idx: tuple = field(init=False, repr=False, compare=False)
-    _rows_by_coord: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         support_idx = tuple(
             tuple(sorted(self.poset.index(lab) for lab in row.support))
             for row in self.rows
         )
-        by_coord = [[] for _ in self.poset.roots]
-        for r, idxs in enumerate(support_idx):
-            for k in idxs:
-                by_coord[k].append(r)
         object.__setattr__(self, "_row_support_idx", support_idx)
-        object.__setattr__(self, "_rows_by_coord", tuple(tuple(r) for r in by_coord))
 
     def to_json(self) -> dict:
         return {
@@ -84,11 +80,10 @@ class InequalitySystem:
             "weight": list(self.weight),
             "rows": [
                 {
-                    "support": [lab.to_json() for lab in sorted(
-                        row.support, key=self.poset.index)],
+                    "support": [self.poset.roots[k].label.to_json() for k in idxs],
                     "bound": row.bound,
                 }
-                for row in self.rows
+                for idxs, row in zip(self._row_support_idx, self.rows)
             ],
         }
 
@@ -106,14 +101,7 @@ def inequalities(family: str, n: int, weight: tuple[int, ...]) -> InequalitySyst
 
 def contains(system: InequalitySystem, s: LatticePoint) -> bool:
     """Exact membership test for a nonnegative integer point."""
-    if len(s) != len(system.poset.roots):
-        raise ValueError("point length must match the number of roots")
-    if any(x < 0 for x in s):
-        return False
-    for idxs, row in zip(system._row_support_idx, system.rows):
-        if sum(s[k] for k in idxs) > row.bound:
-            return False
-    return True
+    return not violated_paths(system, s) and all(x >= 0 for x in s)
 
 
 def violated_paths(system: InequalitySystem, s: LatticePoint) -> tuple[DyckPath, ...]:
@@ -127,19 +115,22 @@ def violated_paths(system: InequalitySystem, s: LatticePoint) -> tuple[DyckPath,
     return tuple(out)
 
 
-def slack_search(by_coord, bounds) -> tuple[LatticePoint, ...]:
-    """Nonnegative integer points whose sum over each row r is at most bounds[r].
+def slack_search(ncoord: int, supports, bounds) -> tuple[LatticePoint, ...]:
+    """Points in N^ncoord whose sum over each row r is at most bounds[r].
 
-    ``by_coord[k]`` lists the rows whose support holds coordinate k; every
-    coordinate must lie on some row.  Points come out in lexicographic order:
-    like `order_walk`, an odometer raises the last coordinate that every row
+    ``supports[r]`` holds the coordinates of row r; every coordinate must
+    lie on some row.  Points come out in lexicographic order: like
+    `order_walk`, an odometer raises the last coordinate that every row
     through it still has slack for and zeroes the later ones, without
     recursing per coordinate.
     """
+    by_coord = [[] for _ in range(ncoord)]
+    for r, support in enumerate(supports):
+        for k in support:
+            by_coord[k].append(r)
     # A negative bound admits not even the zero point; otherwise zero is the first.
     if any(min(bounds[r] for r in rows) < 0 for rows in by_coord):
         return ()
-    ncoord = len(by_coord)
     slack = list(bounds)
     value = [0] * ncoord
     out: list[LatticePoint] = []
@@ -165,7 +156,8 @@ def slack_search(by_coord, bounds) -> tuple[LatticePoint, ...]:
 
 def enumerate_points(system: InequalitySystem) -> tuple[LatticePoint, ...]:
     """All lattice points, in lexicographic order of the canonical coordinates."""
-    return slack_search(system._rows_by_coord, [row.bound for row in system.rows])
+    return slack_search(len(system.poset.roots), system._row_support_idx,
+                        [row.bound for row in system.rows])
 
 
 def order_walk(floor, preds, up, chain: bool) -> list[tuple[int, ...]]:
@@ -435,15 +427,14 @@ def slice_verify(n: int, lam: tuple[int, ...]) -> Counterexample | None:
     lam = check_weight("odd", n, lam)
     odd_pts = set(lattice_points("odd", n, lam))
     even_sys = inequalities("even", n + 1, lam + (0,))
-    keep = [
-        k
-        for k, root in enumerate(even_sys.poset.roots)
-        if not (root.label.barred and root.label.col == n + 1)
-    ]
-    sliced = set()
-    for p in enumerate_points(even_sys):
-        if all(p[k] == 0 for k in range(len(p)) if k not in keep):
-            sliced.add(tuple(p[k] for k in keep))
+    cut, keep = [], []
+    for k, root in enumerate(even_sys.poset.roots):
+        (cut if root.label.barred and root.label.col == n + 1 else keep).append(k)
+    sliced = {
+        tuple(p[k] for k in keep)
+        for p in enumerate_points(even_sys)
+        if not any(p[k] for k in cut)
+    }
     missing = odd_pts - sliced
     if missing:
         return Counterexample("missing", min(missing))

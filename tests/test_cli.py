@@ -108,9 +108,12 @@ def test_transfer_computes_each_point_set_once(capsys, monkeypatch):
 
 
 # SHA-256 of stdout, recorded before characters and dimensions (and with
-# them `points --count`) moved from enumeration to the graded count, and the
+# them `points --count`) moved from enumeration to the graded count, the
 # `transfer` and `verify abs` digests before `MarkedPoset` moved to its index
-# form; every command exits 0.
+# form, and the `ineq`, `n1`, `verify slice`, `verify n1-formula` and even
+# `verify abs` digests before the slack search took coordinate-tuple rows and
+# the extremes check moved into the `MarkedPoset` constructor; every command
+# exits 0.
 PINNED_OUTPUT_SHA256 = [
     ("char --family odd --n 3 --weight 2,2,1",
      "e3b36003691605c94d7d6ca08446b7d07943826f0c5f32cb716b29b2897e283b"),
@@ -150,12 +153,27 @@ PINNED_OUTPUT_SHA256 = [
      "85773454c02bd7e5dd682f595eccf973907ac5bcd369ca19bdc896392c1b2ddf"),
     ("verify abs --family odd --n 3 --max-coeff 1",
      "10c3c0d0a70ca3b56ae7dac67a76a4d20bac86896669a915d2be64ed4bc98472"),
+    ("verify abs --family even --n 2 --max-coeff 2",
+     "86b05c4bce8e269243620b44421e7dfeac7a8f9637d6c4751449b7b99340ea68"),
+    ("ineq --family odd --n 3 --weight 1,0,1",
+     "253dde88f39289c4b1bb1f9ee3df75e052211351b4229a67079a9f0d36351e9f"),
+    ("ineq --family even --n 2 --weight 1,1 --format text",
+     "6d52ab3d8a84296a8e5e088e63d31d613b76f0badb58d01f0daf8d4e262df4d1"),
+    ("verify slice --n 2 --max-coeff 2",
+     "818e73c9963aaa83985396179f463a2fca67b38a90654a023a4a6d9537ea5f2c"),
+    ("n1 --max-k 4 --max-coeff 3",
+     "b847a4fb3c876cea273a529914177cace3681964ee5c2763685c7318d38f4fbb"),
+    ("n1 --max-k 4 --max-coeff 3 --format text",
+     "e5a302e5e0bf94db719d815e57e9c9eb7ddfb754dfe416c1b700c7a511030170"),
+    ("verify n1-formula --max-k 4 --max-coeff 3",
+     "47b2e4a5041d906c0c78a9f7d796aa87f6fcb49d05f6971d3c0fc9244ea3c9e8"),
 ]
 
 
 @pytest.mark.parametrize("command, digest", PINNED_OUTPUT_SHA256)
 def test_counting_verbs_output_pinned(capsys, command, digest):
-    """char, dim, ehrhart, points --count, transfer and verify abs stay byte-identical."""
+    """char, dim, ehrhart, points --count, transfer, ineq, n1 and verify
+    abs, slice and n1-formula stay byte-identical."""
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
-"""The package imports nothing beyond the standard library."""
+"""The package imports nothing beyond the standard library, and its modules
+import each other in layers."""
 
 import ast
 import sys
@@ -28,3 +29,33 @@ def test_package_is_dependency_free():
         if name not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def relative_imports(path: Path) -> set[str]:
+    """Sibling modules the file imports by ``from . import x`` or ``from .x import``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.partition(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+# Each module may import only the modules below it; cli and __init__ sit on top.
+ALLOWED_IMPORTS = {
+    "rootsys": set(),
+    "polytope": {"rootsys"},
+    "characters": {"polytope", "rootsys"},
+    "marked_poset": {"polytope", "rootsys"},
+    "straightening": {"polytope", "rootsys"},
+}
+
+
+def test_module_layering():
+    sources = {path.stem: path for path in SRC.glob("*.py")}
+    assert set(sources) - {"cli", "__init__"} == set(ALLOWED_IMPORTS)
+    assert relative_imports(sources["polytope"]) == {"rootsys"}
+    for name, allowed in ALLOWED_IMPORTS.items():
+        assert relative_imports(sources[name]) <= allowed, name

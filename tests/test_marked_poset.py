@@ -223,9 +223,15 @@ def test_validation_errors():
         MarkedPoset(("a", "b"), (("a", "b"),), (("a", 2), ("b", 1)))
     with pytest.raises(ValueError, match="second marking on element b"):
         MarkedPoset(("a", "b"), (("a", "b"),), (("a", 0), ("b", 1), ("b", 2)))
-    unmarked_min = MarkedPoset(("a", "b"), (("a", "b"),), (("b", 3),))
-    with pytest.raises(ValueError):
-        order_points(unmarked_min)
+    # Every minimal and maximal element must be marked, checked when the
+    # poset is built; a minimal element is named before a maximal one (last
+    # case: the minimal b, although the maximal c comes first in canonical order).
+    with pytest.raises(ValueError, match="extremal element a is unmarked"):
+        MarkedPoset(("a", "b"), (("a", "b"),), (("b", 3),))
+    with pytest.raises(ValueError, match="extremal element b is unmarked"):
+        MarkedPoset(("a", "b"), (("a", "b"),), (("a", 3),))
+    with pytest.raises(ValueError, match="extremal element b is unmarked"):
+        MarkedPoset(("c", "m", "b"), (("b", "m"), ("m", "c")), (("m", 1),))
 
 
 def test_poset_serialization():
@@ -234,6 +240,21 @@ def test_poset_serialization():
     assert set(data) == {"elements", "covers", "markings"}
     assert len(data["elements"]) == 5
     assert data["markings"]["t1"] == 0
+    # 1 and "1" both display as 1, so a marking would be lost.
+    clash = MarkedPoset((1, "1"), ((1, "1"),), ((1, 0), ("1", 2)))
+    with pytest.raises(ValueError, match="share the display name 1"):
+        clash.to_json()
+
+
+def test_marking_of_names_unmarked_and_unknown_elements():
+    poset = fflv_marked_poset("odd", 1, (1,))
+    assert poset.marking_of(("u", 1)) == 1
+    with pytest.raises(ValueError, match=r"element \(1,1\) is unmarked"):
+        poset.marking_of(L(1, 1))
+    with pytest.raises(ValueError, match=r"unknown element \(2,2\)"):
+        poset.marking_of(L(2, 2))
+    with pytest.raises(ValueError, match="unknown element t2"):
+        poset.marking_of(("t", 2))
 
 
 def test_n1_formula_values():
