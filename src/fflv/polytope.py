@@ -14,11 +14,14 @@ path.  `enumerate_points` is the independent oracle: `slack_search` runs an
 odometer over the path inequalities, each row a tuple of coordinates, and
 raises a coordinate only while every row through it has slack left.
 
-`graded_count` counts the same points by weight and degree without
-enumerating them: a frontier (transfer-matrix) DP over the same walk, whose
-states are the order values that later roots still read.  Characters and
-dimensions go through it; `lattice_points` is its oracle, and Ehrhart counts
-stay on the walk.
+`frontier_count` is the one counting core: a frontier (transfer-matrix) DP
+over the positions of an `order_walk`, whose states are the values that
+later positions still read.  It counts plain labellings with one integer
+per state, or graded ones with a map of packed keys per state.
+`graded_count` runs it graded over the walk of `lattice_points`, to count
+the same points by weight and degree without enumerating them; characters
+and dimensions go through it, `lattice_points` is its oracle, and Ehrhart
+counts stay on the walk.  `marked_poset.order_count` runs it plain.
 
 `minkowski_verify` checks P(lam) + P(mu) = P(lam + mu) on integer codes:
 each point is read as a mixed-radix number whose radix exceeds every
@@ -198,6 +201,69 @@ def order_walk(floor, preds, up, chain: bool) -> list[tuple[int, ...]]:
         reset(k + 1)
 
 
+def frontier_count(floor, preds, up, steps=None):
+    """Count the labellings of `order_walk` without listing them.
+
+    A frontier (transfer-matrix) DP over the walk positions: a state holds
+    the values of the positions that later positions still read as
+    predecessors.  Without ``steps`` each state carries one integer, the
+    number of partial labellings that reach it, and the total comes back
+    as an int; a position that no later position reads adds
+    count * (up - low + 1) without a state per value.  With ``steps`` each
+    state carries a map from packed keys to counts, and the map
+    {key: count} over all labellings comes back, where a labelling's key
+    is the sum of (x[k] - low(k)) * steps[k] over its positions.  The
+    caller's bounds keep low(k) <= up[k], as for `order_walk`.
+    """
+    last_read = [-1] * len(up)      # the last position that reads each value
+    for k, ps in enumerate(preds):
+        for q in ps:
+            last_read[q] = k
+    frontier: list[int] = []        # positions whose values a state holds
+    states = {(): 1 if steps is None else {0: 1}}
+    for k, (f, u) in enumerate(zip(floor, up)):
+        slot = {q: i for i, q in enumerate(frontier)}
+        read = [slot[q] for q in preds[k]]
+        keep = [i for i, q in enumerate(frontier) if last_read[q] > k]
+        live = last_read[k] > k
+        frontier = [frontier[i] for i in keep] + [k] * live
+        step = None if steps is None else steps[k]
+        nxt: dict = {}
+        for state, counts in states.items():
+            low = f
+            for i in read:
+                if state[i] > low:
+                    low = state[i]
+            base = tuple(state[i] for i in keep)
+            if step is None:
+                if live:
+                    for v in range(low, u + 1):
+                        target = base + (v,)
+                        nxt[target] = nxt.get(target, 0) + counts
+                else:
+                    nxt[base] = nxt.get(base, 0) + counts * (u - low + 1)
+                continue
+            # Step 0 comes last, so `counts` is no longer read when a new
+            # state takes it over.
+            for v in range(u, low - 1, -1):
+                target = base + (v,) if live else base
+                shift = (v - low) * step
+                dst = nxt.get(target)
+                if dst is None:
+                    nxt[target] = (
+                        {key + shift: c for key, c in counts.items()}
+                        if shift else counts
+                    )
+                else:
+                    get = dst.get
+                    for key, c in counts.items():
+                        key += shift
+                        dst[key] = get(key, 0) + c
+        states = nxt
+    (counts,) = states.values()
+    return counts
+
+
 def _walk_plan(family: str, n: int, weight: tuple[int, ...]):
     """The root poset and each root's floor, predecessors and upper bound.
 
@@ -244,16 +310,16 @@ def lattice_points(family: str, n: int, weight) -> tuple[LatticePoint, ...]:
 
 @lru_cache(maxsize=128)
 def _graded_count(family: str, n: int, weight: tuple[int, ...]):
-    """Frontier DP over the walk of `_walk_points` (transfer-matrix method).
+    """`frontier_count` over the walk of `_walk_points`, graded by packed keys.
 
-    A state holds the order values of the roots that later roots still read
-    as predecessors; each state carries a map from packed (weight, degree)
-    keys to point counts.  A root's value v adds v - low to its chain
-    coordinate, so v - low times the root's eps-coordinates to the weight
-    and v - low to the degree.
+    A root's value v adds v - low to its chain coordinate, so v - low times
+    the root's eps-coordinates to the weight and v - low to the degree: the
+    root's step is size + its eps-coordinates at their places.
 
     A key is deg * size + sum over eps coordinates c of (wt_c + B_c) * place_c,
-    a mixed-radix number with radix 2 B_c + 1 at coordinate c.  Every chain
+    a mixed-radix number with radix 2 B_c + 1 at coordinate c; the DP counts
+    from 0, and the offset `zero` of the B_c digits is added back on
+    decoding, since a final key is the sum of its steps.  Every chain
     coordinate is at most |weight| (a marking minus a marking), so every
     partial weight sum has |wt_c| <= B_c = |weight| * sum_a |eps_c(a)|: its
     digit stays within [0, 2 B_c], adding a step never carries, and the
@@ -276,49 +342,12 @@ def _graded_count(family: str, n: int, weight: tuple[int, ...]):
     zero = sum(b * p for b, p in zip(bounds, places))
     steps = [size + sum(e * p for e, p in zip(root.eps, places))
              for root in poset.roots]
-
-    last_read = [-1] * len(up)      # the last root that reads each value
-    for k, ps in enumerate(preds):
-        for q in ps:
-            last_read[q] = k
-    frontier: list[int] = []        # roots whose values a state holds
-    states = {(): {zero: 1}}
-    for k, (f, u, step) in enumerate(zip(floor, up, steps)):
-        slot = {q: i for i, q in enumerate(frontier)}
-        read = [slot[q] for q in preds[k]]
-        keep = [i for i, q in enumerate(frontier) if last_read[q] > k]
-        live = last_read[k] > k
-        frontier = [frontier[i] for i in keep] + [k] * live
-        nxt: dict = {}
-        for state, counts in states.items():
-            low = f
-            for i in read:
-                if state[i] > low:
-                    low = state[i]
-            base = tuple(state[i] for i in keep)
-            # Step 0 comes last, so `counts` is no longer read when a new
-            # state takes it over.
-            for v in range(u, low - 1, -1):
-                target = base + (v,) if live else base
-                shift = (v - low) * step
-                dst = nxt.get(target)
-                if dst is None:
-                    nxt[target] = (
-                        {key + shift: c for key, c in counts.items()}
-                        if shift else counts
-                    )
-                else:
-                    get = dst.get
-                    for key, c in counts.items():
-                        key += shift
-                        dst[key] = get(key, 0) + c
-        states = nxt
-    (counts,) = states.values()
+    counts = frontier_count(floor, preds, up, steps)
 
     # Many keys share a weight code: decode each code once.
     by_code: dict[int, list] = {}
     for key, c in counts.items():
-        deg, code = divmod(key, size)
+        deg, code = divmod(key + zero, size)
         by_code.setdefault(code, []).append((deg, c))
     out = {}
     for code, degs in by_code.items():

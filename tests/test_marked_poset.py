@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,12 @@ from fflv.marked_poset import (
     n1_family_poset,
     n1_formula,
     n1_report,
+    order_count,
     order_points,
     transfer,
 )
+from fflv import marked_poset
+from fflv.characters import dim
 from fflv.polytope import inequalities, lattice_points
 from fflv.rootsys import RootLabel
 from randposets import random_marked_poset
@@ -118,6 +122,26 @@ def test_transfer_messages_and_mapping_input():
         assert transfer(poset, dict(zip(poset.elements, x))) == transfer(poset, x)
 
 
+def test_transfer_accepts_any_mapping():
+    # A read-only mapping is a mapping too, not a sequence over the slots.
+    poset = fflv_marked_poset("odd", 2, (1, 1))
+    for x in order_points(poset):
+        point = dict(zip(poset.elements, x))
+        assert transfer(poset, MappingProxyType(point)) == transfer(poset, point)
+    poset = fflv_marked_poset("odd", 1, (1,))
+    with pytest.raises(ValueError, match=r"no value for \(1,1\)"):
+        transfer(poset, MappingProxyType({("t", 1): 0, ("u", 1): 1, ("v", 1): 1}))
+    with pytest.raises(ValueError, match="marked element t1 must equal 0"):
+        transfer(poset, MappingProxyType(
+            {L(1, 1): 0, L(1, 1, True): 0, ("u", 1): 1, ("v", 1): 1}))
+    with pytest.raises(ValueError, match="marked element t1 must equal 0"):
+        transfer(poset, MappingProxyType(
+            {L(1, 1): 0, L(1, 1, True): 0, ("t", 1): 1, ("u", 1): 1, ("v", 1): 1}))
+    with pytest.raises(ValueError, match="not an order point"):
+        transfer(poset, MappingProxyType(
+            {L(1, 1): 1, L(1, 1, True): 0, ("t", 1): 0, ("u", 1): 1, ("v", 1): 1}))
+
+
 def test_order_points_zero_weight():
     poset = fflv_marked_poset("even", 2, (0, 0))
     assert order_points(poset) == ((0,) * len(poset),)
@@ -166,12 +190,43 @@ def test_order_points_edge_cases():
                         (("b", 2), ("a", 0)))
     assert order_points(poset) == ((0, 2, 0), (0, 2, 1), (0, 2, 2))
     assert order_points(poset) == brute_order_points(poset)
+    assert order_count(MarkedPoset((), (), ())) == 1
+    assert order_count(MarkedPoset(("a",), (), (("a", 3),))) == 1
+    assert order_count(poset) == 3
 
 
 def test_order_points_high_rank():
     # One point, and no recursion per element: rank 35 has 1,365 elements.
     poset = fflv_marked_poset("odd", 35, (0,) * 35)
     assert order_points(poset) == ((0,) * len(poset),)
+    assert order_count(poset) == 1
+
+
+def assert_counts_agree(poset):
+    count = order_count(poset)
+    assert count == len(chain_points(poset))
+    assert count == len(order_points(poset))
+
+
+def test_order_count_matches_points_on_n1_posets():
+    for attachment in n1_attachments:
+        for k in range(1, 5):
+            for m in product(range(4), repeat=k - 1):
+                assert_counts_agree(n1_family_poset(k, m, attachment))
+
+
+def test_order_count_matches_points_on_random_posets():
+    rng = random.Random(211)
+    for _ in range(300):
+        assert_counts_agree(random_marked_poset(rng))
+
+
+def test_order_count_matches_dim_on_fflv_posets():
+    for family in ("odd", "even"):
+        for n in (1, 2, 3):
+            for weight in product(range(3), repeat=n):
+                poset = fflv_marked_poset(family, n, weight)
+                assert order_count(poset) == dim(family, n, weight)
 
 
 def test_long_marked_chain():
@@ -183,6 +238,7 @@ def test_long_marked_chain():
                         (("lo", 0), ("hi", 1)))
     chain = chain_points(poset)
     assert len(chain) == length + 1
+    assert order_count(poset) == length + 1
     assert chain[0] == (0,) * length
     assert chain == tuple(sorted(chain))
     assert all(sum(p) <= 1 for p in chain)
@@ -313,3 +369,44 @@ def test_n1_report():
         n1_family_poset(2, (1,), "nowhere")
     with pytest.raises(ValueError):
         n1_family_poset(2, (1, 1), "row1_end")
+
+
+def chain_count_report(max_k, max_coeff):
+    """`n1_report` with every count taken as the number of chain points."""
+    results = []
+    for attachment in n1_attachments:
+        checked, failure = 0, None
+        cases = [(k, m) for k in range(1, max_k + 1)
+                 for m in product(range(max_coeff + 1), repeat=k - 1)]
+        for checked, (k, m) in enumerate(cases, start=1):
+            got = len(chain_points(n1_family_poset(k, m, attachment)))
+            if got != n1_formula(k, m):
+                failure = {"k": k, "m": list(m), "count": got,
+                           "formula": n1_formula(k, m)}
+                break
+        results.append({"attachment": attachment,
+                        "status": "fail" if failure else "pass",
+                        "checked": checked, "counterexample": failure})
+    return {"max_k": max_k, "max_coeff": max_coeff, "results": results,
+            "passing": [r["attachment"] for r in results if r["status"] == "pass"]}
+
+
+def test_n1_report_enumerates_no_chain(monkeypatch):
+    expected = chain_count_report(4, 3)
+
+    def refuse(poset):
+        raise AssertionError("n1_report enumerated chain points")
+
+    monkeypatch.setattr(marked_poset, "chain_points", refuse)
+    assert n1_report(4, 3) == expected
+
+
+def test_n1_report_reaches_k5():
+    small = {r["attachment"]: r for r in n1_report(4, 3)["results"]}
+    report = n1_report(5, 3)
+    assert report["passing"] == ["row1_end"]
+    for r in report["results"]:
+        if r["attachment"] == "row1_end":
+            assert r["checked"] == 341 and r["counterexample"] is None
+        else:
+            assert r == small[r["attachment"]]
