@@ -35,6 +35,14 @@ class QPolynomial:
     def __init__(self, coeffs: dict[int, int] | None = None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
 
+    @classmethod
+    def _adopt(cls, coeffs: dict[int, int]) -> QPolynomial:
+        """Wrap a fresh dict of nonzero coefficients without copying it: the
+        caller hands the dict over and keeps no reference."""
+        poly = cls.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
+
     def add_term(self, exp: int, coeff: int = 1) -> None:
         c = self.coeffs.get(exp, 0) + coeff
         if c:
@@ -156,7 +164,7 @@ def qchar_polytope(family: str, n: int, weight: tuple[int, ...]) -> GradedCharac
     weight = check_weight(family, n, weight)
     lam_eps = fundamental_to_eps(weight)
     return GradedCharacter({
-        tuple(map(sub, lam_eps, wt)): QPolynomial(dict(degs))
+        tuple(map(sub, lam_eps, wt)): QPolynomial._adopt(dict(degs))
         for wt, degs in graded_count(family, n, weight).items()
     })
 
@@ -189,7 +197,7 @@ def qchar_branching(n: int, weight: tuple[int, ...]) -> GradedCharacter:
                 for deg, c in degs:
                     deg += deg_mut
                     acc[deg] = acc.get(deg, 0) + c
-    return GradedCharacter({w: QPolynomial(acc) for w, acc in terms.items()})
+    return GradedCharacter({w: QPolynomial._adopt(acc) for w, acc in terms.items()})
 
 
 def dim(family: str, n: int, weight: tuple[int, ...], method: str = "polytope") -> int:

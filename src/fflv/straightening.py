@@ -9,17 +9,30 @@ the special bottom-row derivation whose coefficients come from the matrix
 realization.  The result is a polynomial whose greatest monomial under the
 order defined here is the violating vector itself; `verify` checks exactly
 that and nothing stronger, since the leading coefficient has no closed form.
+
+What depends only on the rank (labels, row slices, column variables) is
+built once per rank, and what depends only on the path (its support and the
+operator words, each factor with the variables whose exponent sum is its
+power) once per path.  Inside, a monomial is packed into one integer, a byte
+per variable with the first variable most significant, and a derivation
+step is one integer addition.  Derivations keep the total degree, so a
+degree of at most 255 proves that no byte carries; a larger degree raises
+ArithmeticError.  The public methods take and return exponent tuples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .polytope import Counterexample
-from .rootsys import RootLabel, build_poset
+from .rootsys import RootLabel, RootPoset, build_poset
+
+# One byte holds each exponent of a packed monomial.
+DEGREE_LIMIT = 255
 
 
 class DerivationId(NamedTuple):
@@ -93,6 +106,141 @@ def _derivation_rules(n: int, op: DerivationId):
     return MappingProxyType(rules)
 
 
+def _place(nvars: int, k: int) -> int:
+    """Packed value of one unit of variable k."""
+    return 1 << 8 * (nvars - 1 - k)
+
+
+@lru_cache(maxsize=1024)
+def _packed_rules(n: int, op: DerivationId) -> tuple[tuple[int, int, int], ...]:
+    """op's rules on packed monomials: (source k, shift, coefficient), where
+    adding the shift moves one unit from k to the rule's target."""
+    nvars = len(build_poset("odd", n))
+    return tuple(
+        (k, _place(nvars, tgt) - _place(nvars, k), c)
+        for k, (tgt, c) in _derivation_rules(n, op).items()
+    )
+
+
+def _derive(poly: dict[int, int], factors, nvars: int) -> dict[int, int]:
+    """Apply each (packed rules, power) factor power times, first factor
+    first, to a polynomial of packed monomials of degree <= DEGREE_LIMIT.
+
+    One application is the Leibniz rule: variable k with exponent e lowered
+    to its target contributes e times the rule's coefficient.
+    """
+    for rules, power in factors:
+        for _ in range(power):
+            out: dict[int, int] = {}
+            get = out.get
+            for mono, coeff in poly.items():
+                digits = mono.to_bytes(nvars)
+                for k, shift, c in rules:
+                    e = digits[k]
+                    if e:
+                        key = mono + shift
+                        val = get(key, 0) + coeff * c * e
+                        if val:
+                            out[key] = val
+                        else:
+                            del out[key]
+            poly = out
+    return poly
+
+
+def _degree_error(degree: int) -> ArithmeticError:
+    return ArithmeticError(
+        f"total degree {degree} exceeds {DEGREE_LIMIT}, the largest a "
+        "byte-packed monomial holds"
+    )
+
+
+class _RankTables(NamedTuple):
+    poset: RootPoset
+    labels: tuple[RootLabel, ...]
+    row_slices: tuple[slice, ...]
+    col_vars: Mapping[tuple[int, bool], tuple[int, ...]]
+    start_var: int  # f_{1,1bar}, whose pure power every straightening starts from
+
+
+@lru_cache(maxsize=64)
+def _rank_tables(n: int) -> _RankTables:
+    poset = build_poset("odd", n)
+    labels = poset.labels()
+    # Canonical order is row-major, so each row's variables form a slice.
+    rows = [lab.row for lab in labels]
+    row_slices = tuple(
+        slice(bisect_left(rows, i), bisect_right(rows, i)) for i in range(1, n + 1)
+    )
+    col_vars: dict[tuple[int, bool], tuple[int, ...]] = {}
+    for k, lab in enumerate(labels):
+        col_vars[lab.col, lab.barred] = col_vars.get((lab.col, lab.barred), ()) + (k,)
+    return _RankTables(
+        poset, labels, row_slices, MappingProxyType(col_vars),
+        poset.index(RootLabel(1, 1, True)),
+    )
+
+
+class _Factor(NamedTuple):
+    op: DerivationId
+    rules: tuple[tuple[int, int, int], ...]
+    power_vars: tuple[int, ...]  # variables whose exponents sum to the power
+
+
+class _PathPlan(NamedTuple):
+    support: frozenset[int]
+    factors: tuple[_Factor, ...]  # in application order
+    split: int  # factors[:split] is the first word, the rest the second
+
+
+def _root_op(n: int, label: RootLabel) -> DerivationId:
+    if label not in build_poset("even", n):
+        raise ValueError(f"{label} is not an even-family positive root")
+    return DerivationId("root", label)
+
+
+@lru_cache(maxsize=4096)
+def _path_plan(n: int, labels: tuple[RootLabel, ...]) -> _PathPlan:
+    """The two operator words for vectors on a barred path of rank n.
+
+    With i the row of the path's end, in display order (apply right to
+    left): the first word is the prefix d(1,i-1)^{s_{.,ibar}+s_{i,.}} (absent
+    for i = 1), then d(j,jbar)^{s_{.,j-1}} for j = i+1..n, then the special
+    derivation to the power s_{.,n} followed by d(1,j)^{s_{.,j}+s_{.,(j+1)bar}}
+    for j = n-1..i, then d(1,kbar)^{s_{.,k-1}} for k = i..2.  The second word
+    is d(1,j)^{s_{j+1,.}} for j = 1..i-2.
+    """
+    if labels[0] != RootLabel(1, 1, False):
+        raise ValueError("path must start at the top-left diagonal root")
+    if not labels[-1].barred:
+        raise ValueError("path must end at a barred root")
+    tables = _rank_tables(n)
+    index = range(len(tables.labels))
+    i = labels[-1].row
+
+    def row(r: int) -> tuple[int, ...]:
+        return tuple(index[tables.row_slices[r - 1]])
+
+    def col(c: int, barred: bool = False) -> tuple[int, ...]:
+        return tables.col_vars.get((c, barred), ())
+
+    def d(row: int, column: int, barred: bool = False) -> DerivationId:
+        return _root_op(n, RootLabel(row, column, barred))
+
+    delta1 = [(d(1, i - 1), col(i, True) + row(i))] if i >= 2 else []
+    delta1 += [(d(j, j, True), col(j - 1)) for j in range(i + 1, n + 1)]
+    delta1.append((DerivationId("special"), col(n)))
+    delta1 += [(d(1, j), col(j) + col(j + 1, True)) for j in range(n - 1, i - 1, -1)]
+    delta1 += [(d(1, k, True), col(k - 1)) for k in range(i, 1, -1)]
+    delta2 = [(d(1, j), row(j + 1)) for j in range(1, i - 1)]
+    factors = tuple(
+        _Factor(op, _packed_rules(n, op), power_vars)
+        for op, power_vars in delta1[::-1] + delta2[::-1]
+    )
+    support = frozenset(tables.poset.index(lab) for lab in labels)
+    return _PathPlan(support, factors, len(delta1))
+
+
 class Straightener:
     """Symbolic engine for one odd-family rank.
 
@@ -101,19 +249,13 @@ class Straightener:
     """
 
     def __init__(self, n: int):
-        self.poset = build_poset("odd", n)
+        self._tables = _rank_tables(n)
+        self.poset = self._tables.poset
         self.n = n
-        self.labels = self.poset.labels()
+        self.labels = self._tables.labels
         self.nvars = len(self.labels)
-        self._even = build_poset("even", n)
-        # Canonical order is row-major, so each row's variables form a slice.
-        rows = [lab.row for lab in self.labels]
-        self._row_slices = [
-            slice(bisect_left(rows, i), bisect_right(rows, i)) for i in range(1, n + 1)
-        ]
-        self._col_vars: dict[tuple[int, bool], list[int]] = {}
-        for k, lab in enumerate(self.labels):
-            self._col_vars.setdefault((lab.col, lab.barred), []).append(k)
+        self._row_slices = self._tables.row_slices
+        self._col_vars = self._tables.col_vars
 
     # -- monomial order ----------------------------------------------------
 
@@ -141,18 +283,10 @@ class Straightener:
             tuple(s[::-1]),
         )
 
-    def succ_compare(self, s: tuple[int, ...], t: tuple[int, ...]) -> int:
-        """1 if s comes strictly before t in the straightening order, -1 if
-        strictly after, 0 if equal."""
-        ks, kt = self.order_key(s), self.order_key(t)
-        return (ks > kt) - (ks < kt)
-
     # -- derivations -------------------------------------------------------
 
     def root_derivation(self, label: RootLabel) -> DerivationId:
-        if label not in self._even:
-            raise ValueError(f"{label} is not an even-family positive root")
-        return DerivationId("root", label)
+        return _root_op(self.n, label)
 
     def special_derivation(self) -> DerivationId:
         return DerivationId("special")
@@ -161,96 +295,70 @@ class Straightener:
         """Action on generators: variable index -> (target index, coefficient)."""
         return _derivation_rules(self.n, op)
 
+    def _run(self, factors, poly: dict) -> dict:
+        """_derive on a polynomial of exponent tuples; zero terms are dropped
+        first, since _derive deletes a key whose coefficient cancels to 0."""
+        nvars = self.nvars
+        packed = {}
+        for mono, coeff in poly.items():
+            if not coeff:
+                continue
+            if len(mono) != nvars:
+                raise ValueError("monomial has the wrong shape")
+            if sum(mono) > DEGREE_LIMIT:
+                raise _degree_error(sum(mono))
+            packed[int.from_bytes(bytes(mono))] = coeff
+        out = _derive(packed, factors, nvars)
+        return {tuple(mono.to_bytes(nvars)): c for mono, c in out.items()}
+
     def apply_derivation(self, op: DerivationId, poly: dict) -> dict:
         """One application, extended to products by the Leibniz rule."""
-        rules = tuple(self.derivation_rules(op).items())
-        out: dict[tuple[int, ...], int] = {}
-        for mono, coeff in poly.items():
-            for k, (tgt, c) in rules:
-                e = mono[k]
-                if not e:
-                    continue
-                new = list(mono)
-                new[k] -= 1
-                new[tgt] += 1
-                key = tuple(new)
-                val = out.get(key, 0) + coeff * c * e
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-        return out
+        return self._run(((_packed_rules(self.n, op), 1),), poly)
 
     def apply_word(self, word, poly: dict) -> dict:
         """Apply a displayed operator word, rightmost factor first."""
-        for op, exp in reversed(tuple(word)):
-            for _ in range(exp):
-                poly = self.apply_derivation(op, poly)
-        return poly
+        factors = [(_packed_rules(self.n, op), exp) for op, exp in reversed(tuple(word))]
+        return self._run(factors, poly)
 
     # -- straightening -----------------------------------------------------
 
-    def _check_path_point(self, s: tuple[int, ...], path) -> None:
+    def _check_path_point(self, s: tuple[int, ...], path) -> _PathPlan:
+        """Validate s and path; return the path's word plan."""
         if path.family != "odd" or path.n != self.n:
             raise ValueError("path belongs to a different poset")
         if len(s) != self.nvars or any(x < 0 for x in s):
             raise ValueError("exponent vector has the wrong shape")
-        if path.start != RootLabel(1, 1, False):
-            raise ValueError("path must start at the top-left diagonal root")
-        if not path.end.barred:
-            raise ValueError("path must end at a barred root")
-        support = set(path.labels)
-        for k, lab in enumerate(self.labels):
-            if s[k] and lab not in support:
-                raise ValueError(f"exponent vector is not supported on the path")
+        plan = _path_plan(self.n, path.labels)
+        if any(x and k not in plan.support for k, x in enumerate(s)):
+            raise ValueError("exponent vector is not supported on the path")
+        return plan
 
     def build_delta_ops(self, s: tuple[int, ...], path):
         """The two operator words for a violating vector on a barred path.
 
         Words are returned in display order (apply right to left); factors
-        with zero exponent are omitted.  With i the row of the path's end:
-        the first word is the prefix d(1,i-1)^{s_{.,ibar}+s_{i,.}} (absent
-        for i = 1), then d(j,jbar)^{s_{.,j-1}} for j = i+1..n, then the
-        special derivation to the power s_{.,n} followed by
-        d(1,j)^{s_{.,j}+s_{.,(j+1)bar}} for j = n-1..i, then
-        d(1,kbar)^{s_{.,k-1}} for k = i..2.  The second word is
-        d(1,j)^{s_{j+1,.}} for j = 1..i-2.
+        with zero exponent are omitted.  The words are those of `_path_plan`.
         """
-        self._check_path_point(s, path)
-        n = self.n
-        i = path.end.row
-        rows = self.row_sums(s)
-        col = self.column_sum
-
-        def d(row: int, column: int, barred: bool = False) -> DerivationId:
-            return self.root_derivation(RootLabel(row, column, barred))
-
-        delta1 = [(d(1, i - 1), col(s, i, True) + rows[i - 1])] if i >= 2 else []
-        delta1 += [(d(j, j, True), col(s, j - 1, False)) for j in range(i + 1, n + 1)]
-        delta1.append((self.special_derivation(), col(s, n, False)))
-        delta1 += [
-            (d(1, j), col(s, j, False) + col(s, j + 1, True))
-            for j in range(n - 1, i - 1, -1)
-        ]
-        delta1 += [(d(1, k, True), col(s, k - 1, False)) for k in range(i, 1, -1)]
-        delta2 = [(d(1, j), rows[j]) for j in range(1, i - 1)]
-        return (
-            tuple(factor for factor in delta1 if factor[1]),
-            tuple(factor for factor in delta2 if factor[1]),
-        )
+        plan = self._check_path_point(s, path)
+        words = []
+        for factors in (plan.factors[: plan.split], plan.factors[plan.split:]):
+            powers = ((f.op, sum(s[k] for k in f.power_vars)) for f in reversed(factors))
+            words.append(tuple(factor for factor in powers if factor[1]))
+        return tuple(words)
 
     def straighten(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> dict:
         """Apply both operator words to the pure power of f_{1,1bar}."""
-        delta1, delta2 = self.build_delta_ops(s, path)
+        plan = self._check_path_point(s, path)
         sigma = sum(s)
         if sigma < sum(weight) + 1:
             raise ValueError("exponent vector does not violate the path bound")
-        start_var = self.poset.index(RootLabel(1, 1, True))
-        mono = [0] * self.nvars
-        mono[start_var] = sigma
-        poly = {tuple(mono): 1}
-        poly = self.apply_word(delta1, poly)
-        return self.apply_word(delta2, poly)
+        if sigma > DEGREE_LIMIT:
+            raise _degree_error(sigma)
+        factors = [(f.rules, sum(s[k] for k in f.power_vars)) for f in plan.factors]
+        nvars = self.nvars
+        start = {sigma * _place(nvars, self._tables.start_var): 1}
+        poly = _derive(start, factors, nvars)
+        return {tuple(mono.to_bytes(nvars)): c for mono, c in poly.items()}
 
     def verify(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> Counterexample | None:
         """Check f^s leads the straightened polynomial.
@@ -266,13 +374,3 @@ class Straightener:
             if t != s and self.order_key(t) > lead:
                 return Counterexample("term_not_smaller", t)
         return None
-
-    # -- serialization -----------------------------------------------------
-
-    def poly_to_json(self, poly: dict) -> list[dict]:
-        """Term list sorted by the straightening order, greatest first."""
-        monos = sorted(poly, key=self.order_key, reverse=True)
-        return [{"exponents": list(t), "coeff": poly[t]} for t in monos]
-
-    def word_to_json(self, word) -> list[dict]:
-        return [{"op": str(op), "power": exp} for op, exp in word]

@@ -298,6 +298,17 @@ def test_qpolynomial_basics():
     assert not QPolynomial({1: 0})
 
 
+def test_qpolynomial_copies_and_drops_zeros():
+    coeffs = {0: 1, 1: 0, 2: 3}
+    p = QPolynomial(coeffs)
+    assert p.coeffs == {0: 1, 2: 3}
+    coeffs[0] = 7
+    coeffs[5] = 1
+    del coeffs[2]
+    assert p == QPolynomial({0: 1, 2: 3})
+    assert repr(p) == "1 + 3*q^2"
+
+
 def test_graded_character_cancellation():
     char = GradedCharacter()
     char.add_term((1, 0), 0)

@@ -47,6 +47,55 @@ def paths_by_labels(eng):
     return {p.labels: p for p in dyck_paths(eng.poset)}
 
 
+def succ_compare(eng, s, t):
+    """1 if s comes strictly before t in the straightening order, -1 if
+    strictly after, 0 if equal."""
+    ks, kt = eng.order_key(s), eng.order_key(t)
+    return (ks > kt) - (ks < kt)
+
+
+def poly_to_json(eng, poly):
+    """Term list sorted by the straightening order, greatest first."""
+    monos = sorted(poly, key=eng.order_key, reverse=True)
+    return [{"exponents": list(t), "coeff": poly[t]} for t in monos]
+
+
+def word_to_json(word):
+    return [{"op": str(op), "power": exp} for op, exp in word]
+
+
+def reference_apply(eng, op, poly):
+    """One derivation on exponent tuples, term by term: the oracle of the
+    packed derivation loop."""
+    out = {}
+    for mono, coeff in poly.items():
+        for k, (tgt, c) in eng.derivation_rules(op).items():
+            e = mono[k]
+            if not e:
+                continue
+            new = list(mono)
+            new[k] -= 1
+            new[tgt] += 1
+            key = tuple(new)
+            val = out.get(key, 0) + coeff * c * e
+            if val:
+                out[key] = val
+            else:
+                del out[key]
+    return out
+
+
+def reference_straighten(eng, weight, s, path):
+    """Both words of build_delta_ops applied by reference_apply, rightmost
+    factor first, to the pure power of f_{1,1bar}."""
+    poly = {single(eng, L(1, 1, True), sum(s)): 1}
+    for word in eng.build_delta_ops(s, path):
+        for op, exp in reversed(word):
+            for _ in range(exp):
+                poly = reference_apply(eng, op, poly)
+    return poly
+
+
 def reference_compare(eng, s, t):
     """The straightening order as three rules applied in turn."""
     if s == t:
@@ -86,7 +135,7 @@ def exponent_pairs(draw):
 def test_order_key_matches_reference_compare(case):
     n, s, t = case
     eng = Straightener(n)
-    assert eng.succ_compare(s, t) == reference_compare(eng, s, t)
+    assert succ_compare(eng, s, t) == reference_compare(eng, s, t)
     assert (eng.order_key(s) == eng.order_key(t)) == (s == t)
 
 
@@ -94,9 +143,9 @@ def test_succ_compare_degree_rule():
     eng = Straightener(2)
     deg2 = single(eng, L(1, 1), 2)
     deg1 = single(eng, L(1, 1, True))
-    assert eng.succ_compare(deg2, deg1) == 1
-    assert eng.succ_compare(deg1, deg2) == -1
-    assert eng.succ_compare(deg1, deg1) == 0
+    assert succ_compare(eng, deg2, deg1) == 1
+    assert succ_compare(eng, deg1, deg2) == -1
+    assert succ_compare(eng, deg1, deg1) == 0
 
 
 def test_succ_compare_row_rule():
@@ -104,8 +153,8 @@ def test_succ_compare_row_rule():
     f11 = single(eng, L(1, 1))
     f22 = single(eng, L(2, 2))
     # equal degree: the monomial concentrated in earlier rows wins
-    assert eng.succ_compare(f11, f22) == 1
-    assert eng.succ_compare(f22, f11) == -1
+    assert succ_compare(eng, f11, f22) == 1
+    assert succ_compare(eng, f22, f11) == -1
 
 
 def test_succ_compare_variable_rule():
@@ -113,8 +162,8 @@ def test_succ_compare_variable_rule():
     f11 = single(eng, L(1, 1))
     f12 = single(eng, L(1, 2))
     # same degree and same row distribution: compare variable positions
-    assert eng.succ_compare(f12, f11) == 1
-    assert eng.succ_compare(f11, f12) == -1
+    assert succ_compare(eng, f12, f11) == 1
+    assert succ_compare(eng, f11, f12) == -1
 
 
 def test_succ_compare_is_translation_invariant():
@@ -124,13 +173,14 @@ def test_succ_compare_is_translation_invariant():
         s = tuple(rng.randint(0, 2) for _ in range(eng.nvars))
         t = tuple(rng.randint(0, 2) for _ in range(eng.nvars))
         u = tuple(rng.randint(0, 2) for _ in range(eng.nvars))
-        base = eng.succ_compare(s, t)
-        shifted = eng.succ_compare(
+        base = succ_compare(eng, s, t)
+        shifted = succ_compare(
+            eng,
             tuple(a + b for a, b in zip(s, u)),
             tuple(a + b for a, b in zip(t, u)),
         )
         assert base == shifted
-        assert eng.succ_compare(t, s) == -base
+        assert succ_compare(eng, t, s) == -base
 
 
 def test_row_and_column_sums():
@@ -319,7 +369,7 @@ def test_verify_lower_order_terms_are_smaller():
     lead = (0, 1, 1, 0, 0, 0)
     for mono in poly:
         if mono != lead:
-            assert eng.succ_compare(lead, mono) == 1
+            assert succ_compare(eng, lead, mono) == 1
 
 
 def test_straighten_rejects_bad_input():
@@ -327,14 +377,23 @@ def test_straighten_rejects_bad_input():
     paths = paths_by_labels(eng)
     pb = paths[(L(1, 1), L(1, 2), L(1, 2, True), L(2, 2, True))]
     diag = paths[(L(1, 1), L(1, 2), L(2, 2))]
-    with pytest.raises(ValueError):
-        eng.straighten((2, 0), (0, 1, 1, 0, 0, 0), pb)   # sum not above bound
-    with pytest.raises(ValueError):
-        eng.straighten((1, 0), (0, 1, 1, 0, 0, 0), diag) # path must end barred
-    with pytest.raises(ValueError):
-        eng.straighten((1, 0), (0, 1, 0, 0, 1, 0), pb)   # s leaves the path
-    with pytest.raises(ValueError):
-        eng.straighten((1, 0), (0, 1, 1, 0, 0), pb)
+    row2 = paths[(L(2, 2), L(2, 2, True))]
+    rank1 = paths_by_labels(Straightener(1))[(L(1, 1), L(1, 1, True))]
+    cases = [
+        ((1, 0), (0, 1, 1, 0, 0, 0), rank1, "path belongs to a different poset"),
+        ((1, 0), (0, 1, 1, 0, 0), pb, "exponent vector has the wrong shape"),
+        ((1, 0), (0, 1, 1, 0, -1, 1), pb, "exponent vector has the wrong shape"),
+        ((1, 0), (0, 0, 0, 0, 1, 1), row2, "path must start at the top-left diagonal root"),
+        ((1, 0), (0, 1, 1, 0, 0, 0), diag, "path must end at a barred root"),
+        ((1, 0), (0, 1, 0, 0, 1, 0), pb, "exponent vector is not supported on the path"),
+        ((2, 0), (0, 1, 1, 0, 0, 0), pb, "exponent vector does not violate the path bound"),
+    ]
+    for weight, s, path, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eng.straighten(weight, s, path)
+        if "bound" not in message:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                eng.build_delta_ops(s, path)
 
 
 def test_exhaustive_sweep_small_ranks():
@@ -365,12 +424,12 @@ def test_serialization():
         (L(1, 1), L(1, 2), L(1, 2, True), L(2, 2, True))
     ]
     poly = eng.straighten((1, 0), (0, 1, 1, 0, 0, 0), pb)
-    assert eng.poly_to_json(poly) == [
+    assert poly_to_json(eng, poly) == [
         {"exponents": [0, 1, 1, 0, 0, 0], "coeff": 2},
         {"exponents": [0, 0, 0, 1, 1, 0], "coeff": 2},
     ]
     word, _ = eng.build_delta_ops((1, 0, 0, 0, 0, 1), pb)
-    assert eng.word_to_json(word) == [
+    assert word_to_json(word) == [
         {"op": "d(1,1)", "power": 2},
         {"op": "d(1,2bar)", "power": 1},
     ]
@@ -414,8 +473,100 @@ def test_straightened_polynomials_pinned():
     for n, max_coeff in ((1, 2), (2, 2), (3, 1)):
         eng = Straightener(n)
         for weight, vec, path in straightening_sweep(n, max_coeff):
-            payload.append(eng.poly_to_json(eng.straighten(weight, vec, path)))
+            payload.append(poly_to_json(eng, eng.straighten(weight, vec, path)))
     assert len(payload) == 2474
     assert sha256_json(payload) == (
         "fcdde34caf156f85535d6ca76e48ffb612d11dd54f3af6bef5958ead6dad1d1e"
     )
+
+
+def random_violating_vector(rng, eng, paths, bound):
+    """(weight, vector, path): bound + 1 units on uniformly chosen positions
+    of a uniformly chosen path, the bound carried by the first coordinate."""
+    path = rng.choice(paths)
+    positions = [eng.labels.index(lab) for lab in path.labels]
+    vec = [0] * eng.nvars
+    for _ in range(bound + 1):
+        vec[rng.choice(positions)] += 1
+    return (bound,) + (0,) * (eng.n - 1), tuple(vec), path
+
+
+def test_straighten_matches_reference_rank4():
+    eng = Straightener(4)
+    paths = [p for p in dyck_paths(eng.poset) if p.start == L(1, 1) and p.end.barred]
+    rng = random.Random(2024)
+    for k in range(200):
+        weight, vec, path = random_violating_vector(rng, eng, paths, k % 9)
+        got = eng.straighten(weight, vec, path)
+        # Same terms in the same order: verify reports the first bad term.
+        assert list(got.items()) == list(reference_straighten(eng, weight, vec, path).items())
+
+
+@st.composite
+def derivation_cases(draw):
+    n = draw(st.integers(1, 4))
+    eng = Straightener(n)
+    ops = [eng.root_derivation(lab) for lab in build_poset("even", n).labels()]
+    ops.append(eng.special_derivation())
+    op = draw(st.sampled_from(ops))
+    mono = st.tuples(*[st.integers(0, 4)] * eng.nvars)
+    coeff = st.integers(-5, 5).filter(bool)
+    poly = draw(st.dictionaries(mono, coeff, max_size=6))
+    return eng, op, poly
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(derivation_cases())
+def test_apply_derivation_matches_reference(case):
+    eng, op, poly = case
+    got = eng.apply_derivation(op, poly)
+    assert list(got.items()) == list(reference_apply(eng, op, poly).items())
+    assert eng.apply_word(((op, 2),), poly) == reference_apply(
+        eng, op, reference_apply(eng, op, poly)
+    )
+
+
+def test_degree_above_byte_limit_raises():
+    eng = Straightener(1)
+    path = paths_by_labels(eng)[(L(1, 1), L(1, 1, True))]
+    with pytest.raises(ArithmeticError, match="255"):
+        eng.straighten((255,), (100, 156), path)
+    special = eng.special_derivation()
+    with pytest.raises(ArithmeticError, match="255"):
+        eng.apply_word(((special, 1),), {(100, 156): 1})
+    with pytest.raises(ArithmeticError, match="255"):
+        eng.apply_word((), {(256, 0): 1})
+
+
+def test_apply_word_rejects_malformed_monomials():
+    eng = Straightener(1)
+    special = eng.special_derivation()
+    with pytest.raises(ValueError, match="monomial has the wrong shape"):
+        eng.apply_word(((special, 1),), {(1, 2, 3): 1})
+    with pytest.raises(ValueError):
+        eng.apply_derivation(special, {(2, -1): 1})
+
+
+def test_apply_derivation_ignores_zero_terms():
+    eng = Straightener(1)
+    special = eng.special_derivation()
+    assert eng.apply_derivation(special, {(0, 1): 0}) == {}
+    assert eng.apply_derivation(special, {(0, 1): 0, (1, 1): 3}) == {(2, 0): 3}
+
+
+def test_degree_at_byte_limit_straightens():
+    eng = Straightener(1)
+    path = paths_by_labels(eng)[(L(1, 1), L(1, 1, True))]
+    assert eng.verify((254,), (100, 155), path) is None
+    assert eng.verify((0,), (255, 0), path) is None
+    assert eng.straighten((0,), (0, 255), path) == {(0, 255): 1}
+
+
+def test_tables_and_plans_are_shared():
+    a, b = Straightener(4), Straightener(4)
+    assert a._tables is b._tables
+    assert a.labels is b.labels and a.poset is b.poset
+    paths = [p for p in dyck_paths(a.poset) if p.start == L(1, 1) and p.end.barred]
+    for path in paths:
+        s = single(a, path.end)
+        assert a._check_path_point(s, path) is b._check_path_point(s, path)
