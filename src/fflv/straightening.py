@@ -115,7 +115,7 @@ def _place(nvars: int, k: int) -> int:
 def _packed_rules(n: int, op: DerivationId) -> tuple[tuple[int, int, int], ...]:
     """op's rules on packed monomials: (source k, shift, coefficient), where
     adding the shift moves one unit from k to the rule's target."""
-    nvars = len(build_poset("odd", n))
+    nvars = len(_rank_tables(n).labels)
     return tuple(
         (k, _place(nvars, tgt) - _place(nvars, k), c)
         for k, (tgt, c) in _derivation_rules(n, op).items()
@@ -134,7 +134,7 @@ def _derive(poly: dict[int, int], factors, nvars: int) -> dict[int, int]:
             out: dict[int, int] = {}
             get = out.get
             for mono, coeff in poly.items():
-                digits = mono.to_bytes(nvars)
+                digits = mono.to_bytes(nvars, "big")
                 for k, shift, c in rules:
                     e = digits[k]
                     if e:
@@ -181,18 +181,6 @@ def _rank_tables(n: int) -> _RankTables:
     )
 
 
-class _Factor(NamedTuple):
-    op: DerivationId
-    rules: tuple[tuple[int, int, int], ...]
-    power_vars: tuple[int, ...]  # variables whose exponents sum to the power
-
-
-class _PathPlan(NamedTuple):
-    support: frozenset[int]
-    factors: tuple[_Factor, ...]  # in application order
-    split: int  # factors[:split] is the first word, the rest the second
-
-
 def _root_op(n: int, label: RootLabel) -> DerivationId:
     if label not in build_poset("even", n):
         raise ValueError(f"{label} is not an even-family positive root")
@@ -200,8 +188,12 @@ def _root_op(n: int, label: RootLabel) -> DerivationId:
 
 
 @lru_cache(maxsize=4096)
-def _path_plan(n: int, labels: tuple[RootLabel, ...]) -> _PathPlan:
-    """The two operator words for vectors on a barred path of rank n.
+def _path_plan(n: int, labels: tuple[RootLabel, ...]):
+    """The two operator words for vectors on a barred path of rank n, as
+    (support, factors, split).  The support has bit k set for each variable
+    k on the path.  The factors of both words come in application order,
+    each as (op, packed rules, the variables whose exponent sum is its
+    power); factors[:split] is the first word, the rest the second.
 
     With i the row of the path's end, in display order (apply right to
     left): the first word is the prefix d(1,i-1)^{s_{.,ibar}+s_{i,.}} (absent
@@ -234,11 +226,11 @@ def _path_plan(n: int, labels: tuple[RootLabel, ...]) -> _PathPlan:
     delta1 += [(d(1, k, True), col(k - 1)) for k in range(i, 1, -1)]
     delta2 = [(d(1, j), row(j + 1)) for j in range(1, i - 1)]
     factors = tuple(
-        _Factor(op, _packed_rules(n, op), power_vars)
+        (op, _packed_rules(n, op), power_vars)
         for op, power_vars in delta1[::-1] + delta2[::-1]
     )
-    support = frozenset(tables.poset.index(lab) for lab in labels)
-    return _PathPlan(support, factors, len(delta1))
+    support = sum(1 << tables.poset.index(lab) for lab in labels)
+    return support, factors, len(delta1)
 
 
 class Straightener:
@@ -254,18 +246,8 @@ class Straightener:
         self.n = n
         self.labels = self._tables.labels
         self.nvars = len(self.labels)
-        self._row_slices = self._tables.row_slices
-        self._col_vars = self._tables.col_vars
 
     # -- monomial order ----------------------------------------------------
-
-    def row_sums(self, s: tuple[int, ...]) -> tuple[int, ...]:
-        """(s_{1,.}, ..., s_{n,.})"""
-        return tuple(sum(s[r]) for r in self._row_slices)
-
-    def column_sum(self, s: tuple[int, ...], col: int, barred: bool) -> int:
-        """s_{.,col} or s_{.,colbar}: the sum over rows of one column."""
-        return sum(s[k] for k in self._col_vars.get((col, barred), ()))
 
     def order_key(self, s: tuple[int, ...]) -> tuple:
         """Sort key of the straightening order: s comes before t exactly when
@@ -279,7 +261,7 @@ class Straightener:
         """
         return (
             sum(s),
-            tuple(-sum(s[r]) for r in reversed(self._row_slices)),
+            tuple(-sum(s[r]) for r in reversed(self._tables.row_slices)),
             tuple(s[::-1]),
         )
 
@@ -307,9 +289,9 @@ class Straightener:
                 raise ValueError("monomial has the wrong shape")
             if sum(mono) > DEGREE_LIMIT:
                 raise _degree_error(sum(mono))
-            packed[int.from_bytes(bytes(mono))] = coeff
+            packed[int.from_bytes(bytes(mono), "big")] = coeff
         out = _derive(packed, factors, nvars)
-        return {tuple(mono.to_bytes(nvars)): c for mono, c in out.items()}
+        return {tuple(mono.to_bytes(nvars, "big")): c for mono, c in out.items()}
 
     def apply_derivation(self, op: DerivationId, poly: dict) -> dict:
         """One application, extended to products by the Leibniz rule."""
@@ -322,14 +304,14 @@ class Straightener:
 
     # -- straightening -----------------------------------------------------
 
-    def _check_path_point(self, s: tuple[int, ...], path) -> _PathPlan:
+    def _check_path_point(self, s: tuple[int, ...], path):
         """Validate s and path; return the path's word plan."""
         if path.family != "odd" or path.n != self.n:
             raise ValueError("path belongs to a different poset")
         if len(s) != self.nvars or any(x < 0 for x in s):
             raise ValueError("exponent vector has the wrong shape")
         plan = _path_plan(self.n, path.labels)
-        if any(x and k not in plan.support for k, x in enumerate(s)):
+        if any(x and not plan[0] >> k & 1 for k, x in enumerate(s)):
             raise ValueError("exponent vector is not supported on the path")
         return plan
 
@@ -339,26 +321,26 @@ class Straightener:
         Words are returned in display order (apply right to left); factors
         with zero exponent are omitted.  The words are those of `_path_plan`.
         """
-        plan = self._check_path_point(s, path)
+        _, factors, split = self._check_path_point(s, path)
         words = []
-        for factors in (plan.factors[: plan.split], plan.factors[plan.split:]):
-            powers = ((f.op, sum(s[k] for k in f.power_vars)) for f in reversed(factors))
+        for word in (factors[:split], factors[split:]):
+            powers = ((op, sum(s[k] for k in ks)) for op, _, ks in reversed(word))
             words.append(tuple(factor for factor in powers if factor[1]))
         return tuple(words)
 
     def straighten(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> dict:
         """Apply both operator words to the pure power of f_{1,1bar}."""
-        plan = self._check_path_point(s, path)
+        _, plan_factors, _ = self._check_path_point(s, path)
         sigma = sum(s)
         if sigma < sum(weight) + 1:
             raise ValueError("exponent vector does not violate the path bound")
         if sigma > DEGREE_LIMIT:
             raise _degree_error(sigma)
-        factors = [(f.rules, sum(s[k] for k in f.power_vars)) for f in plan.factors]
+        factors = [(rules, sum(s[k] for k in ks)) for _, rules, ks in plan_factors]
         nvars = self.nvars
         start = {sigma * _place(nvars, self._tables.start_var): 1}
         poly = _derive(start, factors, nvars)
-        return {tuple(mono.to_bytes(nvars)): c for mono, c in poly.items()}
+        return {tuple(mono.to_bytes(nvars, "big")): c for mono, c in poly.items()}
 
     def verify(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> Counterexample | None:
         """Check f^s leads the straightened polynomial.

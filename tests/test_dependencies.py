@@ -1,5 +1,5 @@
-"""The package imports nothing beyond the standard library, and its modules
-import each other in layers."""
+"""The package imports nothing beyond the standard library, its modules
+import each other in layers, and it runs on the oldest supported Python."""
 
 import ast
 import sys
@@ -59,3 +59,20 @@ def test_module_layering():
     assert relative_imports(sources["polytope"]) == {"rootsys"}
     for name, allowed in ALLOWED_IMPORTS.items():
         assert relative_imports(sources[name]) <= allowed, name
+
+
+def test_int_byte_conversions_name_the_byte_order():
+    """int.to_bytes and int.from_bytes take a default byte order only from
+    Python 3.11 on, and pyproject.toml supports 3.10."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("to_bytes", "from_bytes")
+            ):
+                named = any(kw.arg == "byteorder" for kw in node.keywords)
+                calls.append((path.name, node.lineno, named or len(node.args) >= 2))
+    assert calls
+    assert [call for call in calls if not call[2]] == []
