@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from . import marked_poset as mp
@@ -349,7 +350,14 @@ def _add_format(parser, choices=("json", "text")):
     )
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Each verb's handler reads the library functions it calls from this
+    module's globals when it runs, so a replaced function takes effect in
+    a parser built before it.
+    """
     parser = argparse.ArgumentParser(
         prog="fflv",
         description="Lattice polytopes and characters of the symplectic families",

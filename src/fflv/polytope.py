@@ -14,9 +14,16 @@ path.  `enumerate_points` is the independent oracle: `slack_search` runs an
 odometer over the path inequalities, each row a tuple of coordinates, and
 raises a coordinate only while every row through it has slack left.
 
+Each root's floor and bound are prefix sums m_1 + ... + m_i of the weight,
+so one plan of prefix indices per (family, n) turns a weight into its walk
+plan with two gathers.  `order_walk` and `frontier_count` first compile the
+plan: a root whose least possible low equals its bound is forced, takes
+that bound in every point (chain coordinate 0), and is folded into the
+floors of the roots that read it, so neither runs over it.
+
 `frontier_count` is the one counting core: a frontier (transfer-matrix) DP
-over the positions of an `order_walk`, whose states are the values that
-later positions still read.  It counts plain labellings with one integer
+over the free positions of an `order_walk`, whose states are the values
+that later positions still read.  It counts plain labellings with one integer
 per state, or graded ones with a map of packed keys per state.
 `graded_count` runs it graded over the walk of `lattice_points`, to count
 the same points by weight and degree without enumerating them; characters
@@ -163,67 +170,119 @@ def enumerate_points(system: InequalitySystem) -> tuple[LatticePoint, ...]:
                         [row.bound for row in system.rows])
 
 
+def _compile(floor, preds, up):
+    """The free positions of a walk plan, as (position, folded floor, free preds).
+
+    A position's least low is the largest of its floor and its predecessors'
+    least lows, the low it takes when every earlier position sits at its own.
+    A position whose least low equals its bound is forced: every labelling
+    gives it x = bound, and chain coordinate 0.  Its value is folded into
+    the floors of the positions that read it, and the walk and the count
+    skip it.  Folding only raises floors, to values every labelling reaches
+    anyway, so the labellings stay the same.
+
+    Raises ValueError at the first position whose least low exceeds its
+    bound, or that reads a predecessor with a larger bound: some low would
+    then exceed its bound, and no walk over the plan is well defined.
+    """
+    least = [0] * len(up)
+    plan = []
+    for k, (f, ps, u) in enumerate(zip(floor, preds, up)):
+        lo = f
+        free = []
+        for q in ps:
+            if up[q] > u:
+                raise ValueError(
+                    f"walk position {k} has bound {u} below the bound "
+                    f"{up[q]} of its predecessor {q}"
+                )
+            if least[q] > lo:
+                lo = least[q]
+            if least[q] == up[q]:
+                if up[q] > f:
+                    f = up[q]
+            else:
+                free.append(q)
+        if lo > u:
+            raise ValueError(
+                f"walk position {k} has least low {lo} above its bound {u}"
+            )
+        least[k] = lo
+        if lo < u:
+            plan.append((k, f, tuple(free)))
+    return plan
+
+
 def order_walk(floor, preds, up, chain: bool) -> list[tuple[int, ...]]:
     """Every integer labelling x with low(k) <= x[k] <= up[k], in lexicographic order.
 
     low(k) is the largest of floor[k] and x[q] for q in preds[k], which lie
-    before k; the caller's bounds keep low(k) <= up[k], so nothing
-    backtracks.  An odometer advances the last position below its bound and
-    resets the later ones to their lows; it does not recurse, since there
-    can be more positions than the recursion limit.  With ``chain`` it
-    returns the transfer images x[k] - low(k) instead of the labellings.
+    before k.  The plan is compiled first (`_compile`): a forced position
+    holds its bound in every labelling, and an inconsistent plan raises
+    ValueError.  An odometer over the free positions advances the last one
+    below its bound and resets the later ones to their lows, in a loop over
+    the compiled plan; a stack of the free positions below their bounds
+    names the next one to advance without a scan.  It does not recurse,
+    since there can be more positions than the recursion limit.  With
+    ``chain`` it returns the transfer images x[k] - low(k) instead of the
+    labellings.
     """
-    npos = len(up)
-    x = [0] * npos
-    s = [0] * npos
+    plan = [(i, k, f, ps, up[k])
+            for i, (k, f, ps) in enumerate(_compile(floor, preds, up))]
+    x = list(up)            # forced positions keep their bound
+    s = [0] * len(up)       # and chain coordinate 0
     emit = s if chain else x
-
-    def reset(start: int) -> None:
-        for k in range(start, npos):
-            low = floor[k]
-            for q in preds[k]:
+    below = []              # plan indices of free positions below their bound
+    out = []
+    j = 0                   # the first plan entry to reset
+    while True:
+        for i, k, low, ps, top in plan[j:]:
+            for q in ps:
                 if x[q] > low:
                     low = x[q]
             x[k] = low
             s[k] = 0
-
-    reset(0)
-    out = []
-    while True:
+            if low < top:
+                below.append(i)
         out.append(tuple(emit))
-        k = npos - 1
-        while k >= 0 and x[k] == up[k]:
-            k -= 1
-        if k < 0:
+        if not below:
             return out
+        j = below.pop()
+        _, k, _, _, top = plan[j]
         x[k] += 1
         s[k] += 1
-        reset(k + 1)
+        if x[k] < top:
+            below.append(j)
+        j += 1
 
 
 def frontier_count(floor, preds, up, steps=None):
     """Count the labellings of `order_walk` without listing them.
 
-    A frontier (transfer-matrix) DP over the walk positions: a state holds
-    the values of the positions that later positions still read as
-    predecessors.  Without ``steps`` each state carries one integer, the
-    number of partial labellings that reach it, and the total comes back
-    as an int; a position that no later position reads adds
-    count * (up - low + 1) without a state per value.  With ``steps`` each
-    state carries a map from packed keys to counts, and the map
-    {key: count} over all labellings comes back, where a labelling's key
-    is the sum of (x[k] - low(k)) * steps[k] over its positions.  The
-    caller's bounds keep low(k) <= up[k], as for `order_walk`.
+    A frontier (transfer-matrix) DP over the free positions of the compiled
+    plan (`_compile`): a state holds the values of the free positions that
+    later ones still read as predecessors.  A forced position has one
+    value and chain coordinate 0, so it adds neither a factor nor a state.
+    Without ``steps`` each state carries one integer, the number of partial
+    labellings that reach it, and the total comes back as an int; a
+    position that no later position reads adds count * (up - low + 1)
+    without a state per value.  With ``steps`` each state carries a map
+    from packed keys to counts, and the map {key: count} over all
+    labellings comes back, where a labelling's key is the sum of
+    (x[k] - low(k)) * steps[k] over its positions.  An inconsistent plan
+    raises ValueError, as for `order_walk`.
     """
+    plan = _compile(floor, preds, up)
     last_read = [-1] * len(up)      # the last position that reads each value
-    for k, ps in enumerate(preds):
+    for k, _, ps in plan:
         for q in ps:
             last_read[q] = k
     frontier: list[int] = []        # positions whose values a state holds
     states = {(): 1 if steps is None else {0: 1}}
-    for k, (f, u) in enumerate(zip(floor, up)):
+    for k, f, ps in plan:
+        u = up[k]
         slot = {q: i for i, q in enumerate(frontier)}
-        read = [slot[q] for q in preds[k]]
+        read = [slot[q] for q in ps]
         keep = [i for i, q in enumerate(frontier) if last_read[q] > k]
         live = last_read[k] > k
         frontier = [frontier[i] for i in keep] + [k] * live
@@ -243,8 +302,8 @@ def frontier_count(floor, preds, up, steps=None):
                 else:
                     nxt[base] = nxt.get(base, 0) + counts * (u - low + 1)
                 continue
-            # Step 0 comes last, so `counts` is no longer read when a new
-            # state takes it over.
+            # v = low comes last, so `counts` is no longer read when a new
+            # state takes it over; a zero step must not alias it earlier.
             for v in range(u, low - 1, -1):
                 target = base + (v,) if live else base
                 shift = (v - low) * step
@@ -252,7 +311,7 @@ def frontier_count(floor, preds, up, steps=None):
                 if dst is None:
                     nxt[target] = (
                         {key + shift: c for key, c in counts.items()}
-                        if shift else counts
+                        if v > low else counts
                     )
                 else:
                     get = dst.get
@@ -264,32 +323,51 @@ def frontier_count(floor, preds, up, steps=None):
     return counts
 
 
-def _walk_plan(family: str, n: int, weight: tuple[int, ...]):
-    """The root poset and each root's floor, predecessors and upper bound.
+@lru_cache(maxsize=64)
+def _prefix_plan(family: str, n: int):
+    """The root poset, and each root's floor index, predecessors and bound index.
 
-    The root order is a linear extension; each root's floor is its row's
-    t_i marking, and its bound the least marking weakly above it.  The walk
-    and the graded count both read the marked order polytope from here.
+    Every FFLV marking is a prefix sum m_1 + ... + m_i of the weight, with
+    i its prefix index (`rootsys.fflv_markings`).  A root's floor is its
+    row's t_i marking; its bound is the least marking weakly above it, and
+    since prefix sums never decrease, that is the one of least prefix
+    index.  With every m_i = 1 a prefix sum is its own index, so the
+    markings of the all-ones weight give the indices.  The root order is a
+    linear extension; covers point forward in it.
     """
     poset = build_poset(family, n)
     ncoord = len(poset.roots)
     row_floor = {}
     cap = [None] * ncoord
-    for mark in fflv_markings(family, n, weight):
+    for mark in fflv_markings(family, n, (1,) * n):
         if mark.below:
             row_floor[mark.root.row] = mark.value
         else:
             cap[poset.index(mark.root)] = mark.value
-    floor = [row_floor[root.label.row] for root in poset.roots]
-    preds = [poset.predecessors(k) for k in range(ncoord)]
-    # Least marking weakly above each root; covers point forward in root order.
+    floor = tuple(row_floor[root.label.row] for root in poset.roots)
+    preds = tuple(poset.predecessors(k) for k in range(ncoord))
     up = [0] * ncoord
     for k in reversed(range(ncoord)):
         above = [up[q] for q in poset.successors(k)]
         if cap[k] is not None:
             above.append(cap[k])
         up[k] = min(above)
-    return poset, floor, preds, up
+    return poset, floor, preds, tuple(up)
+
+
+def _walk_plan(family: str, n: int, weight: tuple[int, ...]):
+    """The root poset and each root's floor, predecessors and upper bound.
+
+    Two gathers from the weight's n + 1 prefix sums through `_prefix_plan`;
+    the walk and the graded count both read the marked order polytope from
+    here.
+    """
+    poset, floor_at, preds, up_at = _prefix_plan(family, n)
+    prefix = [0]
+    for m in weight:
+        prefix.append(prefix[-1] + m)
+    at = prefix.__getitem__
+    return poset, list(map(at, floor_at)), preds, list(map(at, up_at))
 
 
 @lru_cache(maxsize=128)
@@ -324,7 +402,9 @@ def _graded_count(family: str, n: int, weight: tuple[int, ...]):
     partial weight sum has |wt_c| <= B_c = |weight| * sum_a |eps_c(a)|: its
     digit stays within [0, 2 B_c], adding a step never carries, and the
     degree above all digits is unbounded.  A root whose step range exceeds
-    |weight| raises ArithmeticError, since the proof would then fail.
+    |weight| raises ArithmeticError, since the proof would then fail.  The
+    check runs on the plan before `frontier_count` folds its forced roots;
+    folding only raises floors, so every step range only shrinks.
     """
     poset, floor, preds, up = _walk_plan(family, n, weight)
     top = sum(weight)
@@ -374,6 +454,7 @@ def graded_count(family: str, n: int, weight) -> Mapping[Weight, tuple[tuple[int
 def _clear_caches() -> None:
     _walk_points.cache_clear()
     _graded_count.cache_clear()
+    _prefix_plan.cache_clear()
 
 
 # The cache controls, for callers that start each run from an empty cache.

@@ -46,10 +46,6 @@ class RootLabel(NamedTuple):
     col: int
     barred: bool = False
 
-    def col_pos(self, n: int) -> int:
-        """Position of the column in the alphabet 1 < ... < n < nbar < ... < 1bar."""
-        return self.col if not self.barred else 2 * n + 1 - self.col
-
     def col_name(self) -> str:
         return f"{self.col}bar" if self.barred else str(self.col)
 

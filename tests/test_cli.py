@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fflv
-from fflv import marked_poset
+from fflv import cli, marked_poset
 from fflv.characters import GradedCharacter, qchar_branching, qchar_polytope
 from fflv.cli import main
 from fflv.marked_poset import n1_report
@@ -394,6 +394,22 @@ def test_deterministic_output(capsys):
     second = run(capsys, "char", "--family", "even", "--n", "2",
                  "--weight", "2,1")
     assert first == second
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # One parser serves every call in a process: repeated calls print the
+    # same bytes, and a usage error after a successful call still exits 2.
+    assert cli._build_parser() is cli._build_parser()
+    argv = ("verify", "minkowski", "--family", "odd", "--n", "1",
+            "--max-coeff", "2")
+    first = run(capsys, *argv)
+    assert first == run(capsys, *argv)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["points", "--family", "odd", "--n", "2", "--weight", "x"])
+    assert exc.value.code == 2
+    assert "comma-separated integers" in capsys.readouterr().err
+    assert run(capsys, *argv) == first
 
 
 def test_module_entry_point():

@@ -196,10 +196,14 @@ def test_order_points_edge_cases():
 
 
 def test_order_points_high_rank():
-    # One point, and no recursion per element: rank 35 has 1,365 elements.
+    # No recursion per element: rank 35 has 1,365 elements.  The zero
+    # weight forces every root, omega_1 all but the 70 of row 1, and the
+    # walk and the count run over the free roots only.
     poset = fflv_marked_poset("odd", 35, (0,) * 35)
     assert order_points(poset) == ((0,) * len(poset),)
-    assert order_count(poset) == 1
+    for weight, count in (((0,) * 35, 1), ((1,) + (0,) * 34, 71)):
+        poset = fflv_marked_poset("odd", 35, weight)
+        assert order_count(poset) == count == len(order_points(poset))
 
 
 def assert_counts_agree(poset):

@@ -1,7 +1,11 @@
 """Inequality systems, lattice point enumeration, and polytope identities."""
 
+import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +27,7 @@ from fflv.polytope import (
     slice_verify,
     violated_paths,
 )
-from fflv.rootsys import RootLabel
+from fflv.rootsys import RootLabel, build_poset, fflv_markings
 from enumeration import flat_counts
 
 
@@ -205,6 +209,158 @@ def test_lattice_points_high_rank():
     omega1 = (1,) + (0,) * (n - 1)
     points = lattice_points("odd", n, omega1)
     assert len(points) == 71 == dim("odd", n, omega1, method="branching")
+
+
+def reference_walk(floor, preds, up, chain):
+    """The walk before forced positions were compiled out: an odometer over
+    every position, whose reset recomputes each low from the plan as given.
+    It needs a consistent plan; on an inconsistent one it never returns."""
+    npos = len(up)
+    x = [0] * npos
+    s = [0] * npos
+    emit = s if chain else x
+
+    def reset(start):
+        for k in range(start, npos):
+            low = floor[k]
+            for q in preds[k]:
+                if x[q] > low:
+                    low = x[q]
+            x[k] = low
+            s[k] = 0
+
+    reset(0)
+    out = []
+    while True:
+        out.append(tuple(emit))
+        k = npos - 1
+        while k >= 0 and x[k] == up[k]:
+            k -= 1
+        if k < 0:
+            return out
+        x[k] += 1
+        s[k] += 1
+        reset(k + 1)
+
+
+def reference_plan(family, n, weight):
+    """The walk plan read from the markings of the weight itself: each
+    root's floor is its row's t_i marking, its bound the least marking
+    weakly above it."""
+    poset = build_poset(family, n)
+    ncoord = len(poset.roots)
+    row_floor = {}
+    cap = [None] * ncoord
+    for mark in fflv_markings(family, n, weight):
+        if mark.below:
+            row_floor[mark.root.row] = mark.value
+        else:
+            cap[poset.index(mark.root)] = mark.value
+    floor = [row_floor[root.label.row] for root in poset.roots]
+    preds = [poset.predecessors(k) for k in range(ncoord)]
+    up = [0] * ncoord
+    for k in reversed(range(ncoord)):
+        above = [up[q] for q in poset.successors(k)]
+        if cap[k] is not None:
+            above.append(cap[k])
+        up[k] = min(above)
+    return poset, floor, preds, up
+
+
+def random_plan(rng):
+    """A consistent walk plan: no bound is below a predecessor's bound, and
+    no floor above its own bound.  A third of the floors sit at their
+    bound, which forces the position."""
+    floor, preds, up = [], [], []
+    for k in range(rng.randint(1, 8)):
+        ps = tuple(sorted(rng.sample(range(k), min(k, rng.randint(0, 3)))))
+        top = max((up[q] for q in ps), default=0) + rng.choice((0, 0, 1, 2))
+        floor.append(rng.choice((0, rng.randint(0, top), top)))
+        preds.append(ps)
+        up.append(top)
+    return floor, preds, up
+
+
+def long_chain_plan():
+    """20 positions forced to 0, then a chain of free positions longer than
+    the recursion limit, each in {0, 1} and reading the one before; from
+    the position with floor 1 on, the chain is forced to 1."""
+    free = sys.getrecursionlimit() + 50
+    floor = [0] * (20 + free) + [1] * 30
+    up = [0] * 20 + [1] * (free + 30)
+    preds = [()] + [(k - 1,) for k in range(1, len(up))]
+    return floor, preds, up
+
+
+def forced_positions(points, up):
+    """The positions that hold their bound in every labelling."""
+    return [all(x[k] == u for x in points) for k, u in enumerate(up)]
+
+
+def assert_walk_matches_reference(floor, preds, up, rng):
+    labellings = reference_walk(floor, preds, up, False)
+    chains = reference_walk(floor, preds, up, True)
+    assert polytope.order_walk(floor, preds, up, False) == labellings
+    assert polytope.order_walk(floor, preds, up, True) == chains
+    assert polytope.frontier_count(floor, preds, up) == len(chains)
+    steps = [rng.randint(0, 5) for _ in up]
+    keys = Counter(sum(map(mul, s, steps)) for s in chains)
+    assert polytope.frontier_count(floor, preds, up, steps) == keys
+    return labellings
+
+
+def test_compiled_walk_matches_reference_on_random_plans():
+    rng = random.Random(1313)
+    forced_runs = forced_feeds_free = 0
+    for _ in range(400):
+        floor, preds, up = random_plan(rng)
+        labellings = assert_walk_matches_reference(floor, preds, up, rng)
+        forced = forced_positions(labellings, up)
+        forced_runs += any(all(forced[k:k + 3]) for k in range(len(up) - 2))
+        forced_feeds_free += any(
+            forced[q] and not forced[k] for k, ps in enumerate(preds) for q in ps)
+    # The plans exercise what the compile step folds away.
+    assert forced_runs >= 20 and forced_feeds_free >= 20
+    floor, preds, up = long_chain_plan()
+    labellings = assert_walk_matches_reference(floor, preds, up, rng)
+    assert len(labellings) == sys.getrecursionlimit() + 51
+    assert forced_positions(labellings, up).count(False) > sys.getrecursionlimit()
+
+
+def test_compiled_walk_matches_reference_on_fflv_plans():
+    # Weights in {0,1,2}^n with |weight| <= 2: all of {0,1,2}^4 would list
+    # 1.35 billion points at odd rank 4, these 21,000 at all ranks.
+    rng = random.Random(1717)
+    for family in ("odd", "even"):
+        for n in range(1, 5):
+            for weight in product(range(3), repeat=n):
+                if sum(weight) > 2:
+                    continue
+                _, floor, preds, up = polytope._walk_plan(family, n, weight)
+                assert_walk_matches_reference(floor, preds, up, rng)
+
+
+def test_prefix_plan_matches_marking_plan():
+    for family in ("odd", "even"):
+        for n in range(1, 6):
+            for weight in product(range(3), repeat=n):
+                poset, floor, preds, up = polytope._walk_plan(family, n, weight)
+                assert (poset, floor, list(preds), up) == reference_plan(
+                    family, n, weight)
+
+
+def test_inconsistent_plans_raise():
+    # The first position's least low is above its bound: no labelling.
+    for count in (
+        lambda *plan: polytope.order_walk(*plan, True),
+        lambda *plan: polytope.order_walk(*plan, False),
+        polytope.frontier_count,
+    ):
+        with pytest.raises(ValueError, match="position 0 has least low 2 above its bound 1"):
+            count([2], [()], [1])
+        # x[0] = 2 is a labelling of position 0 that leaves position 1 none.
+        with pytest.raises(ValueError, match="position 1 has bound 1 below the bound 2"):
+            count([0, 0], [(), (0,)], [2, 1])
 
 
 def test_lattice_points_normalizes_weight():

@@ -18,6 +18,11 @@ def L(row, col, barred=False):
     return RootLabel(row, col, barred)
 
 
+def col_pos(label, n):
+    """Position of the column in the alphabet 1 < ... < n < nbar < ... < 1bar."""
+    return label.col if not label.barred else 2 * n + 1 - label.col
+
+
 def test_element_and_cover_counts():
     expected = {
         ("odd", 1): (2, 1),
@@ -62,7 +67,7 @@ def test_covers_match_alphabet_reconstruction():
                 by_row.setdefault(lab.row, []).append(lab)
             expected = set()
             for row in by_row.values():
-                ordered = sorted(row, key=lambda lab: lab.col_pos(n))
+                ordered = sorted(row, key=lambda lab: col_pos(lab, n))
                 for a, b in zip(ordered, ordered[1:]):
                     expected.add((a, b))
             for lab in labels:
@@ -120,7 +125,7 @@ def test_paths_are_saturated_chains():
             first_in_row = {}
             for lab in poset.labels():
                 cur = first_in_row.get(lab.row)
-                if cur is None or lab.col_pos(n) < cur.col_pos(n):
+                if cur is None or col_pos(lab, n) < col_pos(cur, n):
                     first_in_row[lab.row] = lab
             paths = dyck_paths(poset)
             assert len(set(p.labels for p in paths)) == len(paths)
@@ -147,7 +152,7 @@ def test_path_enumeration_complete():
             for lab in poset.labels():
                 rows.setdefault(lab.row, []).append(lab)
             starts = [
-                min(row, key=lambda lab: lab.col_pos(n))
+                min(row, key=lambda lab: col_pos(lab, n))
                 for row in rows.values()
             ]
             found = set()

@@ -17,6 +17,11 @@ def L(row, col, barred=False):
     return RootLabel(row, col, barred)
 
 
+def col_pos(label, n):
+    """Position of the column in the alphabet 1 < ... < n < nbar < ... < 1bar."""
+    return label.col if not label.barred else 2 * n + 1 - label.col
+
+
 def single(eng, label, power=1):
     vec = [0] * eng.nvars
     vec[eng.labels.index(label)] = power
@@ -120,7 +125,7 @@ def reference_compare(eng, s, t):
     # Row n beats row n-1 and so on; in a row the rightmost column wins.
     rank = sorted(
         range(eng.nvars),
-        key=lambda k: (eng.labels[k].row, eng.labels[k].col_pos(eng.n)),
+        key=lambda k: (eng.labels[k].row, col_pos(eng.labels[k], eng.n)),
         reverse=True,
     )
     for k in rank:
