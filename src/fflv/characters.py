@@ -17,7 +17,7 @@ from collections import Counter
 from itertools import product
 from operator import sub
 
-from .polytope import graded_count, lattice_points
+from .polytope import add_graded_terms, lattice_points, point_count
 from .rootsys import (
     Weight,
     check_weight,
@@ -162,11 +162,9 @@ def qchar_polytope(family: str, n: int, weight: tuple[int, ...]) -> GradedCharac
     by at most d lowering operators applied to the highest weight vector.
     """
     weight = check_weight(family, n, weight)
-    lam_eps = fundamental_to_eps(weight)
-    return GradedCharacter({
-        tuple(map(sub, lam_eps, wt)): QPolynomial._adopt(dict(degs))
-        for wt, degs in graded_count(family, n, weight).items()
-    })
+    terms: dict[Weight, dict[int, int]] = {}
+    add_graded_terms(family, n, weight, fundamental_to_eps(weight), 0, terms)
+    return GradedCharacter({w: QPolynomial._adopt(acc) for w, acc in terms.items()})
 
 
 def qchar_branching(n: int, weight: tuple[int, ...]) -> GradedCharacter:
@@ -177,26 +175,14 @@ def qchar_branching(n: int, weight: tuple[int, ...]) -> GradedCharacter:
     coordinates gives wrong counts already at n = 2, lambda = omega_2.
     """
     weight = check_weight("odd", n, weight)
-    lam_eps = fundamental_to_eps(weight)
     lam_part = partition_from_fundamental(weight)
     terms: dict[Weight, dict[int, int]] = {}
     for mut in delta_set(weight):
-        even = fundamental_from_partition(tuple(map(sub, lam_part, mut)))
+        part = tuple(map(sub, lam_part, mut))
         deg_mut = sum(mut)
-        # wt(mutilde) = sum mutilde_i (eps_i - eps_0)
-        base = list(lam_eps)
-        for i, x in enumerate(mut):
-            base[i] -= x
-        base[n] += deg_mut
-        for wt, degs in graded_count("even", n, even).items():
-            w = tuple(map(sub, base, wt))
-            acc = terms.get(w)
-            if acc is None:
-                terms[w] = {deg + deg_mut: c for deg, c in degs}
-            else:   # another branching tuple reached this weight: add
-                for deg, c in degs:
-                    deg += deg_mut
-                    acc[deg] = acc.get(deg, 0) + c
+        # shift by lambda - wt(mutilde), wt(mutilde) = sum mutilde_i (eps_i - eps_0)
+        add_graded_terms("even", n, fundamental_from_partition(part),
+                         part + (deg_mut,), deg_mut, terms)
     return GradedCharacter({w: QPolynomial._adopt(acc) for w, acc in terms.items()})
 
 
@@ -204,8 +190,7 @@ def dim(family: str, n: int, weight: tuple[int, ...], method: str = "polytope") 
     """Dimension by lattice-point count, branching sum, or Weyl formula."""
     weight = check_weight(family, n, weight)
     if method == "polytope":
-        return sum(c for degs in graded_count(family, n, weight).values()
-                   for _, c in degs)
+        return point_count(family, n, weight)
     if method == "branching":
         if family != "odd":
             raise ValueError("branching dimension is defined for the odd family")

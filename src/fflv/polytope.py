@@ -25,10 +25,11 @@ floors of the roots that read it, so neither runs over it.
 over the free positions of an `order_walk`, whose states are the values
 that later positions still read.  It counts plain labellings with one integer
 per state, or graded ones with a map of packed keys per state.
-`graded_count` runs it graded over the walk of `lattice_points`, to count
-the same points by weight and degree without enumerating them; characters
-and dimensions go through it, `lattice_points` is its oracle, and Ehrhart
-counts stay on the walk.  `marked_poset.order_count` runs it plain.
+`_graded_count` runs it graded over the walk of `lattice_points` and caches
+the {packed key: count} map undecoded.  Characters read it through
+`add_graded_terms`, `point_count` sums it, and `graded_count` decodes it
+on each call; `lattice_points` is their oracle, and Ehrhart counts stay on
+the walk.  `marked_poset.order_count` runs the DP plain.
 
 `minkowski_verify` checks P(lam) + P(mu) = P(lam + mu) on integer codes:
 each point is read as a mixed-radix number whose radix exceeds every
@@ -390,14 +391,13 @@ def lattice_points(family: str, n: int, weight) -> tuple[LatticePoint, ...]:
 def _graded_count(family: str, n: int, weight: tuple[int, ...]):
     """`frontier_count` over the walk of `_walk_points`, graded by packed keys.
 
-    A root's value v adds v - low to its chain coordinate, so v - low times
-    the root's eps-coordinates to the weight and v - low to the degree: the
-    root's step is size + its eps-coordinates at their places.
-
-    A key is deg * size + sum over eps coordinates c of (wt_c + B_c) * place_c,
-    a mixed-radix number with radix 2 B_c + 1 at coordinate c; the DP counts
-    from 0, and the offset `zero` of the B_c digits is added back on
-    decoding, since a final key is the sum of its steps.  Every chain
+    A root's value v adds v - low to its chain coordinate and the degree,
+    and v - low times its eps-coordinates to the weight, so its step is
+    size + its eps-coordinates at their places.  A key is deg * size + sum
+    over eps coordinates c of (wt_c + B_c) * place_c, a mixed-radix number
+    with radix 2 B_c + 1 at coordinate c; the DP counts from 0, and the
+    offset `zero` of the B_c digits is added back on decoding, since a
+    final key is the sum of its steps.  Every chain
     coordinate is at most |weight| (a marking minus a marking), so every
     partial weight sum has |wt_c| <= B_c = |weight| * sum_a |eps_c(a)|: its
     digit stays within [0, 2 B_c], adding a step never carries, and the
@@ -405,6 +405,9 @@ def _graded_count(family: str, n: int, weight: tuple[int, ...]):
     |weight| raises ArithmeticError, since the proof would then fail.  The
     check runs on the plan before `frontier_count` folds its forced roots;
     folding only raises floors, so every step range only shrinks.
+
+    The cache holds the {key: count} map undecoded, as a read-only view,
+    with its codec (size, zero, radices, bounds); `add_graded_terms` reads it.
     """
     poset, floor, preds, up = _walk_plan(family, n, weight)
     top = sum(weight)
@@ -412,9 +415,9 @@ def _graded_count(family: str, n: int, weight: tuple[int, ...]):
         raise ArithmeticError(
             f"a chain coordinate can exceed {top}; the radix would carry"
         )
-    bounds = [top * sum(abs(root.eps[c]) for root in poset.roots)
-              for c in range(n + 1)]
-    radices = [2 * b + 1 for b in bounds]
+    bounds = tuple(top * sum(abs(root.eps[c]) for root in poset.roots)
+                   for c in range(n + 1))
+    radices = tuple(2 * b + 1 for b in bounds)
     places = [1]
     for r in radices:
         places.append(places[-1] * r)
@@ -422,21 +425,41 @@ def _graded_count(family: str, n: int, weight: tuple[int, ...]):
     zero = sum(b * p for b, p in zip(bounds, places))
     steps = [size + sum(e * p for e, p in zip(root.eps, places))
              for root in poset.roots]
-    counts = frontier_count(floor, preds, up, steps)
+    counts = MappingProxyType(frontier_count(floor, preds, up, steps))
+    return counts, size, zero, radices, bounds
 
-    # Many keys share a weight code: decode each code once.
-    by_code: dict[int, list] = {}
+
+def add_graded_terms(family: str, n: int, weight, shift, deg_shift: int,
+                     terms: dict[Weight, dict[int, int]]) -> None:
+    """Add e^(shift - wt(s)) q^(deg(s) + deg_shift) over the lattice points s.
+
+    ``terms`` maps eps-weights to {deg: count}; a weight it lacks gets a
+    dict made here, so the caller owns every dict in it.  Each cached key of
+    `_graded_count` is split once, and each weight code decoded once: digit
+    c is wt_c + B_c, so the term's weight is shift_c + B_c - digit_c.
+    """
+    counts, size, zero, radices, bounds = _graded_count(
+        family, n, check_weight(family, n, weight))
+    offset = zero + deg_shift * size
+    by_code: dict[int, dict[int, int]] = {}
     for key, c in counts.items():
-        deg, code = divmod(key + zero, size)
-        by_code.setdefault(code, []).append((deg, c))
-    out = {}
+        deg, code = divmod(key + offset, size)
+        by_code.setdefault(code, {})[deg] = c   # one key per (code, degree)
+    tops = [s + b for s, b in zip(shift, bounds)]
     for code, degs in by_code.items():
         wt = []
-        for r, b in zip(radices, bounds):
+        for r, top in zip(radices, tops):
             code, digit = divmod(code, r)
-            wt.append(digit - b)
-        out[tuple(wt)] = tuple(sorted(degs))
-    return MappingProxyType(out)
+            wt.append(top - digit)
+        acc = terms.setdefault(tuple(wt), degs)
+        if acc is not degs:     # an earlier call reached this weight: add
+            for deg, c in degs.items():
+                acc[deg] = acc.get(deg, 0) + c
+
+
+def point_count(family: str, n: int, weight) -> int:
+    """The number of lattice points: the sum of `_graded_count`'s cached counts."""
+    return sum(_graded_count(family, n, check_weight(family, n, weight))[0].values())
 
 
 def graded_count(family: str, n: int, weight) -> Mapping[Weight, tuple[tuple[int, int], ...]]:
@@ -446,9 +469,13 @@ def graded_count(family: str, n: int, weight) -> Mapping[Weight, tuple[tuple[int
     points s with wt(s) = wt, as ``Counter(wt_deg(poset, s) ...)`` over
     ``lattice_points(...)`` gives it, but no point is enumerated.  Degrees
     ascend.  The weight is validated and made a tuple before the cache
-    lookup; the cached result is a read-only mapping of tuples.
+    lookup.  Only the packed keys are cached: each call decodes them anew
+    (zero shift gives -wt) into a fresh read-only mapping of tuples.
     """
-    return _graded_count(family, n, check_weight(family, n, weight))
+    terms: dict[Weight, dict[int, int]] = {}
+    add_graded_terms(family, n, weight, (0,) * (n + 1), 0, terms)
+    return MappingProxyType({tuple(-x for x in wt): tuple(sorted(degs.items()))
+                             for wt, degs in terms.items()})
 
 
 def _clear_caches() -> None:

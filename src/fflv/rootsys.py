@@ -23,14 +23,16 @@ Weight = tuple[int, ...]        # eps-coordinates (eps_1, ..., eps_n, eps_0)
 LatticePoint = tuple[int, ...]  # one value per root, canonical order
 
 
-def _check_family(family: str) -> None:
+def _check_family_rank(family: str, n: int) -> None:
     if family not in (EVEN, ODD):
         raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        raise ValueError("rank must be >= 1")
 
 
 def check_weight(family: str, n: int, weight) -> tuple[int, ...]:
-    """Validate fundamental coordinates m_1, ..., m_n and return them as a tuple."""
-    _check_family(family)
+    """Validate family, rank n >= 1 and m_1, ..., m_n; return the weight as a tuple."""
+    _check_family_rank(family, n)
     weight = tuple(weight)
     if len(weight) != n:
         raise ValueError("weight length must equal the rank")
@@ -141,9 +143,7 @@ def build_poset(family: str, n: int) -> RootPoset:
     The arguments are validated before the cache lookup; the poset is
     frozen, so every caller shares one instance per (family, n).
     """
-    _check_family(family)
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    _check_family_rank(family, n)
     return _build_poset(family, n)
 
 

@@ -116,6 +116,8 @@ def test_weight_validated_at_boundary(name):
         fn("odd", 2, (1,))
     with pytest.raises(ValueError, match="fundamental coordinates must be nonnegative"):
         fn("odd", 2, [1, -1])
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        fn("odd", 0, ())
 
 
 def test_qchar_polytope_rank1():
@@ -270,12 +272,42 @@ def test_characters_match_term_by_term_assembly():
              for family in ("odd", "even")
              for n in (1, 2, 3)
              for weight in product(range(3), repeat=n)]
-    cases.append(("odd", 3, (2, 2, 1)))
+    # Many branching tuples reach one weight and degree: rank one up to
+    # m = 12, and rank-two weights with long columns.
+    cases += [("odd", 1, (m,)) for m in range(3, 13)]
+    cases += [("odd", 2, (3, 3)), ("odd", 2, (1, 4)), ("odd", 3, (2, 2, 1))]
     for family, n, weight in cases:
         assert qchar_polytope(family, n, weight) == reference_qchar_polytope(
             family, n, weight)
         if family == "odd":
             assert qchar_branching(n, weight) == reference_qchar_branching(n, weight)
+
+
+def test_characters_own_their_terms():
+    # Every character is decoded afresh from the shared cached counts, so
+    # editing one leaves the next call of either route unchanged.
+    for build, reference in (
+        (lambda: qchar_polytope("odd", 2, (1, 1)),
+         lambda: reference_qchar_polytope("odd", 2, (1, 1))),
+        (lambda: qchar_branching(2, (1, 1)),
+         lambda: reference_qchar_branching(2, (1, 1))),
+    ):
+        char = build()
+        weight, poly = next(iter(char.terms.items()))
+        poly.add_term(0, 5)
+        char.add_term(weight, 7, 3)
+        char.add_term((9,) * len(weight), 1)
+        assert build() == reference()
+        assert build() != char
+
+
+def test_dim_rejects_rank_below_one_on_every_method():
+    # The branching and Weyl routes build no poset, so only the weight
+    # check can reject the rank.
+    for family, n, method in (("odd", 0, "branching"), ("even", 0, "weyl"),
+                              ("even", -1, "weyl"), ("odd", 0, "polytope")):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            dim(family, n, (), method)
 
 
 def test_dim_rejects_bad_combinations():
