@@ -14,12 +14,14 @@ path.  `enumerate_points` is the independent oracle: `slack_search` runs an
 odometer over the path inequalities, each row a tuple of coordinates, and
 raises a coordinate only while every row through it has slack left.
 
-Each root's floor and bound are prefix sums m_1 + ... + m_i of the weight,
-so one plan of prefix indices per (family, n) turns a weight into its walk
-plan with two gathers.  `order_walk` and `frontier_count` first compile the
-plan: a root whose least possible low equals its bound is forced, takes
-that bound in every point (chain coordinate 0), and is folded into the
-floors of the roots that read it, so neither runs over it.
+Each root's floor and bound are prefix sums m_1 + ... + m_i of the weight
+whose indices are read off its label (i, j): floor index i - 1, bound index
+j, or n if barred.  So one plan of prefix indices per (family, n) turns a
+weight into its walk plan with two gathers.  `order_walk` and
+`frontier_count` first compile the plan: a root whose least possible low
+equals its bound is forced, takes that bound in every point (chain
+coordinate 0), and is folded into the floors of the roots that read it, so
+neither runs over it.
 
 `frontier_count` is the one counting core: a frontier (transfer-matrix) DP
 over the free positions of an `order_walk`, whose states are the values
@@ -54,7 +56,6 @@ from .rootsys import (
     build_poset,
     check_weight,
     dyck_paths,
-    fflv_markings,
     path_bound,
 )
 
@@ -329,31 +330,19 @@ def _prefix_plan(family: str, n: int):
     """The root poset, and each root's floor index, predecessors and bound index.
 
     Every FFLV marking is a prefix sum m_1 + ... + m_i of the weight, with
-    i its prefix index (`rootsys.fflv_markings`).  A root's floor is its
-    row's t_i marking; its bound is the least marking weakly above it, and
-    since prefix sums never decrease, that is the one of least prefix
-    index.  With every m_i = 1 a prefix sum is its own index, so the
-    markings of the all-ones weight give the indices.  The root order is a
-    linear extension; covers point forward in it.
+    i its prefix index (`rootsys.fflv_markings`), so the indices are read
+    off the labels.  A root (i, j) sits above t_i, whose index is i - 1.
+    Its bound is the least marking weakly above it, the one of least index
+    since prefix sums never decrease: u_j at (j, j), index j, when the root
+    is unbarred, and a v marking, index n, when it is barred.  The root
+    order is a linear extension; covers point forward in it.
     """
     poset = build_poset(family, n)
-    ncoord = len(poset.roots)
-    row_floor = {}
-    cap = [None] * ncoord
-    for mark in fflv_markings(family, n, (1,) * n):
-        if mark.below:
-            row_floor[mark.root.row] = mark.value
-        else:
-            cap[poset.index(mark.root)] = mark.value
-    floor = tuple(row_floor[root.label.row] for root in poset.roots)
-    preds = tuple(poset.predecessors(k) for k in range(ncoord))
-    up = [0] * ncoord
-    for k in reversed(range(ncoord)):
-        above = [up[q] for q in poset.successors(k)]
-        if cap[k] is not None:
-            above.append(cap[k])
-        up[k] = min(above)
-    return poset, floor, preds, tuple(up)
+    labels = poset.labels()
+    floor = tuple(lab.row - 1 for lab in labels)
+    preds = tuple(poset.predecessors(k) for k in range(len(labels)))
+    up = tuple(n if lab.barred else lab.col for lab in labels)
+    return poset, floor, preds, up
 
 
 def _walk_plan(family: str, n: int, weight: tuple[int, ...]):
@@ -429,17 +418,17 @@ def _graded_count(family: str, n: int, weight: tuple[int, ...]):
     return counts, size, zero, radices, bounds
 
 
-def add_graded_terms(family: str, n: int, weight, shift, deg_shift: int,
-                     terms: dict[Weight, dict[int, int]]) -> None:
-    """Add e^(shift - wt(s)) q^(deg(s) + deg_shift) over the lattice points s.
+def add_graded_terms(family: str, n: int, weight: tuple[int, ...], shift,
+                     deg_shift: int, terms: dict[Weight, dict[int, int]]) -> None:
+    """Add e^(shift - wt(s)) q^(deg(s) + deg_shift) over the lattice points s
+    of a weight that `check_weight` has returned.
 
     ``terms`` maps eps-weights to {deg: count}; a weight it lacks gets a
     dict made here, so the caller owns every dict in it.  Each cached key of
     `_graded_count` is split once, and each weight code decoded once: digit
     c is wt_c + B_c, so the term's weight is shift_c + B_c - digit_c.
     """
-    counts, size, zero, radices, bounds = _graded_count(
-        family, n, check_weight(family, n, weight))
+    counts, size, zero, radices, bounds = _graded_count(family, n, weight)
     offset = zero + deg_shift * size
     by_code: dict[int, dict[int, int]] = {}
     for key, c in counts.items():
@@ -457,9 +446,10 @@ def add_graded_terms(family: str, n: int, weight, shift, deg_shift: int,
                 acc[deg] = acc.get(deg, 0) + c
 
 
-def point_count(family: str, n: int, weight) -> int:
-    """The number of lattice points: the sum of `_graded_count`'s cached counts."""
-    return sum(_graded_count(family, n, check_weight(family, n, weight))[0].values())
+def point_count(family: str, n: int, weight: tuple[int, ...]) -> int:
+    """The number of lattice points of a weight that `check_weight` has
+    returned: the sum of `_graded_count`'s cached counts."""
+    return sum(_graded_count(family, n, weight)[0].values())
 
 
 def graded_count(family: str, n: int, weight) -> Mapping[Weight, tuple[tuple[int, int], ...]]:
@@ -472,6 +462,7 @@ def graded_count(family: str, n: int, weight) -> Mapping[Weight, tuple[tuple[int
     lookup.  Only the packed keys are cached: each call decodes them anew
     (zero shift gives -wt) into a fresh read-only mapping of tuples.
     """
+    weight = check_weight(family, n, weight)
     terms: dict[Weight, dict[int, int]] = {}
     add_graded_terms(family, n, weight, (0,) * (n + 1), 0, terms)
     return MappingProxyType({tuple(-x for x in wt): tuple(sorted(degs.items()))
@@ -522,6 +513,17 @@ def _decode(code: int, radix: int, length: int) -> LatticePoint:
     return tuple(digits)
 
 
+def _compare(got: set, want: set, decode=lambda p: p) -> Counterexample | None:
+    """None if got equals want, else the least point of want missing from
+    got, else the least extra point of got; only that point is decoded."""
+    if got == want:
+        return None
+    missing = want - got
+    if missing:
+        return Counterexample("missing", decode(min(missing)))
+    return Counterexample("extra", decode(min(got - want)))
+
+
 def minkowski_verify(
     family: str, n: int, lam: tuple[int, ...], mu: tuple[int, ...]
 ) -> Counterexample | None:
@@ -546,12 +548,7 @@ def minkowski_verify(
     lam_mu = tuple(x + y for x, y in zip(lam, mu))
     total = set(_encode(lattice_points(family, n, lam_mu), radix, radix - 1))
     sumset = {x + y for x in a for y in b}
-    if sumset == total:
-        return None
-    missing = total - sumset
-    if missing:
-        return Counterexample("missing", _decode(min(missing), radix, length))
-    return Counterexample("extra", _decode(min(sumset - total), radix, length))
+    return _compare(sumset, total, lambda code: _decode(code, radix, length))
 
 
 def slice_verify(n: int, lam: tuple[int, ...]) -> Counterexample | None:
@@ -572,13 +569,7 @@ def slice_verify(n: int, lam: tuple[int, ...]) -> Counterexample | None:
         for p in enumerate_points(even_sys)
         if not any(p[k] for k in cut)
     }
-    missing = odd_pts - sliced
-    if missing:
-        return Counterexample("missing", min(missing))
-    extra = sliced - odd_pts
-    if extra:
-        return Counterexample("extra", min(extra))
-    return None
+    return _compare(sliced, odd_pts)
 
 
 def ehrhart_counts(

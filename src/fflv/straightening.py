@@ -200,13 +200,20 @@ def _path_plan(n: int, labels: tuple[RootLabel, ...]):
     for i = 1), then d(j,jbar)^{s_{.,j-1}} for j = i+1..n, then the special
     derivation to the power s_{.,n} followed by d(1,j)^{s_{.,j}+s_{.,(j+1)bar}}
     for j = n-1..i, then d(1,kbar)^{s_{.,k-1}} for k = i..2.  The second word
-    is d(1,j)^{s_{j+1,.}} for j = 1..i-2.
+    is d(1,j)^{s_{j+1,.}} for j = 1..i-2.  Raises ValueError unless the
+    labels are a chain of covers in the rank-n odd poset.
     """
     if labels[0] != RootLabel(1, 1, False):
         raise ValueError("path must start at the top-left diagonal root")
     if not labels[-1].barred:
         raise ValueError("path must end at a barred root")
     tables = _rank_tables(n)
+    poset = tables.poset
+    for prev, lab in zip(labels, labels[1:]):
+        if lab not in poset:
+            raise ValueError(f"path label {lab} is not a root of the rank-{n} odd poset")
+        if poset.index(lab) not in poset.successors(poset.index(prev)):
+            raise ValueError(f"path label {lab} does not cover {prev}")
     index = range(len(tables.labels))
     i = labels[-1].row
 
@@ -229,7 +236,7 @@ def _path_plan(n: int, labels: tuple[RootLabel, ...]):
         (op, _packed_rules(n, op), power_vars)
         for op, power_vars in delta1[::-1] + delta2[::-1]
     )
-    support = sum(1 << tables.poset.index(lab) for lab in labels)
+    support = sum(1 << poset.index(lab) for lab in labels)
     return support, factors, len(delta1)
 
 

@@ -341,12 +341,18 @@ def test_compiled_walk_matches_reference_on_fflv_plans():
 
 
 def test_prefix_plan_matches_marking_plan():
+    # All of {0,1,2}^n up to rank 5; from rank 6 to 12 the zero weight, the
+    # all-ones weight and each fundamental weight.
+    cases = [(n, weight) for n in range(1, 6)
+             for weight in product(range(3), repeat=n)]
+    for n in range(6, 13):
+        cases += [(n, (0,) * n), (n, (1,) * n)]
+        cases += [(n, tuple(int(i == k) for i in range(n))) for k in range(n)]
     for family in ("odd", "even"):
-        for n in range(1, 6):
-            for weight in product(range(3), repeat=n):
-                poset, floor, preds, up = polytope._walk_plan(family, n, weight)
-                assert (poset, floor, list(preds), up) == reference_plan(
-                    family, n, weight)
+        for n, weight in cases:
+            poset, floor, preds, up = polytope._walk_plan(family, n, weight)
+            assert (poset, floor, list(preds), up) == reference_plan(
+                family, n, weight)
 
 
 def test_inconsistent_plans_raise():
@@ -553,6 +559,29 @@ def test_slice_small_instances():
         slice_verify(2, (1,))
     with pytest.raises(ValueError):
         slice_verify(1, (-1,))
+
+
+def test_slice_reports_extra_point(monkeypatch):
+    # slice_verify reads the odd points through lattice_points, the even
+    # ones through the slack search: a point dropped from the odd polytope
+    # is still in the even slice.
+    points = lattice_points("odd", 2, (1, 1))
+    for dropped in (points[0], points[17], points[-1]):
+        with monkeypatch.context() as m:
+            patch_points(m, (1, 1), lambda pts: [p for p in pts if p != dropped])
+            assert slice_verify(2, (1, 1)) == Counterexample("extra", dropped)
+
+
+def test_slice_reports_missing_point(monkeypatch):
+    # (2, 0, 0, 0, 0, 0) breaks the path bound m_1 = 1, so no slice holds it.
+    bad = (2, 0, 0, 0, 0, 0)
+    with monkeypatch.context() as m:
+        patch_points(m, (1, 1), lambda pts: pts + [bad])
+        assert slice_verify(2, (1, 1)) == Counterexample("missing", bad)
+    # With the zero point dropped too, the missing point is reported first.
+    with monkeypatch.context() as m:
+        patch_points(m, (1, 1), lambda pts: pts[1:] + [bad])
+        assert slice_verify(2, (1, 1)) == Counterexample("missing", bad)
 
 
 def test_ehrhart_rank1():

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import random
+import re
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflv.rootsys import RootLabel, build_poset, dyck_paths, wt_deg
+from fflv.rootsys import DyckPath, RootLabel, build_poset, dyck_paths, wt_deg
 from fflv.straightening import DerivationId, Straightener, _rank_tables
 
 
@@ -402,12 +403,19 @@ def test_straighten_rejects_bad_input():
         ((1, 0), (0, 1, 1, 0, 0, 0), diag, "path must end at a barred root"),
         ((1, 0), (0, 1, 0, 0, 1, 0), pb, "exponent vector is not supported on the path"),
         ((2, 0), (0, 1, 1, 0, 0, 0), pb, "exponent vector does not violate the path bound"),
+        # A path that is not a chain of rank-2 odd roots, each covering the last.
+        ((1, 0), (1, 0, 1, 0, 0, 0), DyckPath("odd", 2, (L(1, 1), L(1, 2, True))),
+         "path label (1,2bar) does not cover (1,1)"),
+        ((1, 0), (1, 0, 0, 0, 0, 0), DyckPath("odd", 2, (L(1, 1), L(1, 7, True))),
+         "path label (1,7bar) is not a root of the rank-2 odd poset"),
+        ((1, 0), (1, 0, 0, 0, 0, 0), DyckPath("odd", 2, (L(1, 1), L(5, 5, True))),
+         "path label (5,5bar) is not a root of the rank-2 odd poset"),
     ]
     for weight, s, path, message in cases:
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             eng.straighten(weight, s, path)
         if "bound" not in message:
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 eng.build_delta_ops(s, path)
 
 
