@@ -36,12 +36,15 @@ the walk.  `marked_poset.order_count` runs the DP plain.
 `minkowski_verify` checks P(lam) + P(mu) = P(lam + mu) on integer codes:
 each point is read as a mixed-radix number whose radix exceeds every
 coordinate of P(lam + mu), so a sum of points is one integer addition and
-the sumset is a set of ints.
+the sumset is a set of ints.  P(lam) and P(mu) come from the walk;
+P(lam + mu) comes from `frontier_count` with place values as steps, whose
+keys are the codes themselves, so the two sides are independent engines.
+The radix bound is proved on the plan of lam + mu before the DP runs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -376,6 +379,16 @@ def lattice_points(family: str, n: int, weight) -> tuple[LatticePoint, ...]:
     return _walk_points(family, n, check_weight(family, n, weight))
 
 
+def _check_chain_range(floor, up, top: int) -> None:
+    """Raise ArithmeticError unless 0 <= up[k] - floor[k] <= top on a walk
+    plan: a chain coordinate is at most up[k] - floor[k], so packed digits
+    with room for top never carry."""
+    if any(not 0 <= u - f <= top for f, u in zip(floor, up)):
+        raise ArithmeticError(
+            f"a chain coordinate can exceed {top}; the radix would carry"
+        )
+
+
 @lru_cache(maxsize=128)
 def _graded_count(family: str, n: int, weight: tuple[int, ...]):
     """`frontier_count` over the walk of `_walk_points`, graded by packed keys.
@@ -400,10 +413,7 @@ def _graded_count(family: str, n: int, weight: tuple[int, ...]):
     """
     poset, floor, preds, up = _walk_plan(family, n, weight)
     top = sum(weight)
-    if any(not 0 <= u - f <= top for f, u in zip(floor, up)):
-        raise ArithmeticError(
-            f"a chain coordinate can exceed {top}; the radix would carry"
-        )
+    _check_chain_range(floor, up, top)
     bounds = tuple(top * sum(abs(root.eps[c]) for root in poset.roots)
                    for c in range(n + 1))
     radices = tuple(2 * b + 1 for b in bounds)
@@ -513,7 +523,7 @@ def _decode(code: int, radix: int, length: int) -> LatticePoint:
     return tuple(digits)
 
 
-def _compare(got: set, want: set, decode=lambda p: p) -> Counterexample | None:
+def _compare(got: Set, want: Set, decode=lambda p: p) -> Counterexample | None:
     """None if got equals want, else the least point of want missing from
     got, else the least extra point of got; only that point is decoded."""
     if got == want:
@@ -522,6 +532,21 @@ def _compare(got: set, want: set, decode=lambda p: p) -> Counterexample | None:
     if missing:
         return Counterexample("missing", decode(min(missing)))
     return Counterexample("extra", decode(min(got - want)))
+
+
+def _point_codes(family: str, n: int, weight: tuple[int, ...], radix: int):
+    """The mixed-radix codes of P(weight), as `_encode` gives them, from the
+    frontier DP: no point is walked or stored.
+
+    Position k's step is its place radix^(N-1-k), so a labelling's key is
+    the code of its chain coordinates.  A coordinate is at most radix - 1
+    (`_check_chain_range`, on the plan), so distinct points get distinct
+    codes and every count is 1.  Returns the keys view of the DP's map.
+    """
+    _, floor, preds, up = _walk_plan(family, n, weight)
+    _check_chain_range(floor, up, radix - 1)
+    places = [radix ** k for k in reversed(range(len(up)))]
+    return frontier_count(floor, preds, up, places).keys()
 
 
 def minkowski_verify(
@@ -534,20 +559,25 @@ def minkowski_verify(
     r = |lam| + |mu| + 1, the first coordinate most significant.  Every
     coordinate of FFLV(lam) is at most |lam| (a v-marking minus a t-marking),
     so p + q has all digits below r: integer addition is coordinate-wise
-    addition with no carry, and integer order is lexicographic order.  A
-    coordinate above |lam|, |mu| or |lam| + |mu| in its polytope raises
-    ArithmeticError, since the codes would then no longer add without carry.
+    addition with no carry, and integer order is lexicographic order.
+
+    The two sides come from different engines: P(lam) and P(mu) from the
+    walk (`lattice_points`), encoded and summed, and P(lam + mu) straight
+    as codes from the frontier DP (`_point_codes`), so a fault in one is
+    not cancelled by the same fault in the other.  A coordinate above |lam|
+    or |mu| in its walked polytope, or a plan of lam + mu whose chain
+    coordinates could exceed |lam| + |mu|, raises ArithmeticError, since
+    the codes would then no longer add without carry.
     """
     lam = check_weight(family, n, lam)
     mu = check_weight(family, n, mu)
     radix = sum(lam) + sum(mu) + 1
-    points = lattice_points(family, n, lam)
-    length = len(points[0])     # P(lam) always holds the zero point
-    a = _encode(points, radix, sum(lam))
+    a = _encode(lattice_points(family, n, lam), radix, sum(lam))
     b = _encode(lattice_points(family, n, mu), radix, sum(mu))
     lam_mu = tuple(x + y for x, y in zip(lam, mu))
-    total = set(_encode(lattice_points(family, n, lam_mu), radix, radix - 1))
+    total = _point_codes(family, n, lam_mu, radix)
     sumset = {x + y for x in a for y in b}
+    length = len(build_poset(family, n).roots)
     return _compare(sumset, total, lambda code: _decode(code, radix, length))
 
 

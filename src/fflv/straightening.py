@@ -201,7 +201,8 @@ def _path_plan(n: int, labels: tuple[RootLabel, ...]):
     derivation to the power s_{.,n} followed by d(1,j)^{s_{.,j}+s_{.,(j+1)bar}}
     for j = n-1..i, then d(1,kbar)^{s_{.,k-1}} for k = i..2.  The second word
     is d(1,j)^{s_{j+1,.}} for j = 1..i-2.  Raises ValueError unless the
-    labels are a chain of covers in the rank-n odd poset.
+    labels are a chain of covers in the rank-n odd poset from (1,1) to
+    some (i,ibar).
     """
     if labels[0] != RootLabel(1, 1, False):
         raise ValueError("path must start at the top-left diagonal root")
@@ -214,8 +215,10 @@ def _path_plan(n: int, labels: tuple[RootLabel, ...]):
             raise ValueError(f"path label {lab} is not a root of the rank-{n} odd poset")
         if poset.index(lab) not in poset.successors(poset.index(prev)):
             raise ValueError(f"path label {lab} does not cover {prev}")
-    index = range(len(tables.labels))
     i = labels[-1].row
+    if labels[-1].col != i:
+        raise ValueError(f"path must end at a barred diagonal root, not at {labels[-1]}")
+    index = range(len(tables.labels))
 
     def row(r: int) -> tuple[int, ...]:
         return tuple(index[tables.row_slices[r - 1]])

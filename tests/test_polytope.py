@@ -306,6 +306,12 @@ def assert_walk_matches_reference(floor, preds, up, rng):
     steps = [rng.randint(0, 5) for _ in up]
     keys = Counter(sum(map(mul, s, steps)) for s in chains)
     assert polytope.frontier_count(floor, preds, up, steps) == keys
+    # With place values as steps, a key is the chain point's mixed-radix
+    # code, and each code is reached once.
+    radix = max(u - f for f, u in zip(floor, up)) + 1
+    places = [radix ** (len(up) - 1 - k) for k in range(len(up))]
+    codes = polytope._encode(chains, radix, radix - 1)
+    assert polytope.frontier_count(floor, preds, up, places) == dict.fromkeys(codes, 1)
     return labellings
 
 
@@ -454,19 +460,36 @@ def patch_points(monkeypatch, weight, edit):
     monkeypatch.setattr(polytope, "lattice_points", fake)
 
 
+def patch_codes(monkeypatch, weight, edit):
+    """Make polytope._point_codes return edit(codes) for one weight, with
+    the codes passed in ascending order, which is lexicographic order."""
+    real = polytope._point_codes
+
+    def fake(family, n, w, radix):
+        codes = real(family, n, w, radix)
+        return set(edit(sorted(codes))) if w == weight else codes
+
+    monkeypatch.setattr(polytope, "_point_codes", fake)
+
+
 def test_minkowski_reports_extra_point(monkeypatch):
-    # Every point of P(lam + mu) is a sum, so a dropped one comes back as extra.
+    # Every point of P(lam + mu) is a sum, so a dropped one comes back as
+    # extra.  minkowski_verify reads P(lam + mu) as codes (radix 3 here),
+    # the reference as points: each is edited the same way.
     lam, mu = (1, 0), (0, 1)
     points = lattice_points("odd", 2, (1, 1))
     for dropped in points:
+        (code,) = polytope._encode([dropped], 3, 2)
         with monkeypatch.context() as m:
             patch_points(m, (1, 1), lambda pts: [p for p in pts if p != dropped])
+            patch_codes(m, (1, 1), lambda codes: [c for c in codes if c != code])
             want = Counterexample("extra", dropped)
             assert minkowski_verify("odd", 2, lam, mu) == want
             assert tuple_sumset_verify("odd", 2, lam, mu) == want
     # With several extra points, the lexicographically first is reported.
     with monkeypatch.context() as m:
         patch_points(m, (1, 1), lambda pts: pts[1:-1])
+        patch_codes(m, (1, 1), lambda codes: codes[1:-1])
         want = Counterexample("extra", points[0])
         assert minkowski_verify("odd", 2, lam, mu) == want
         assert tuple_sumset_verify("odd", 2, lam, mu) == want
@@ -501,11 +524,69 @@ def test_minkowski_reports_missing_point(monkeypatch):
 @pytest.mark.parametrize("bad", [(4, 0), (0, 7), (-1, 1)])
 def test_minkowski_rejects_digits_outside_radix(monkeypatch, bad):
     # lam = (1,), mu = (2,): radix 4, so no digit may reach 4 or go negative.
-    for weight in ((1,), (2,), (3,)):
+    for weight in ((1,), (2,)):
         with monkeypatch.context() as m:
             patch_points(m, weight, lambda pts: pts + [bad])
             with pytest.raises(ArithmeticError):
                 minkowski_verify("odd", 1, (1,), (2,))
+    # P(3) comes from the DP, not the walk: widen its plan so that a bad
+    # digit's position ranges up to that digit, or below zero.  The range
+    # is checked on the plan before the DP runs.
+    plan = polytope._walk_plan
+
+    def widened(family, n, weight):
+        poset, floor, preds, up = plan(family, n, weight)
+        if weight == (3,):
+            up = [u if 0 <= x <= 3 else f + x for f, u, x in zip(floor, up, bad)]
+        return poset, floor, preds, up
+
+    with monkeypatch.context() as m:
+        m.setattr(polytope, "_walk_plan", widened)
+        with pytest.raises(ArithmeticError, match="the radix would carry"):
+            minkowski_verify("odd", 1, (1,), (2,))
+
+
+def test_minkowski_reports_missing_zero_point_of_empty_side(monkeypatch):
+    # An empty P(0), as a walk that drops every point gives, leaves the
+    # sumset empty: the zero point of P(lam + mu) is the least missing one.
+    # The point length comes from the plan, not from a point of P(0).
+    with monkeypatch.context() as m:
+        patch_points(m, (0, 0), lambda pts: [])
+        want = Counterexample("missing", (0,) * 6)
+        assert minkowski_verify("odd", 2, (0, 0), (1, 1)) == want
+        assert tuple_sumset_verify("odd", 2, (0, 0), (1, 1)) == want
+
+
+def test_minkowski_walks_lam_and_mu_only(monkeypatch):
+    # P(lam + mu) comes from the DP: it is neither walked nor cached.
+    calls = []
+    real = polytope.lattice_points
+
+    def spy(family, n, w):
+        calls.append(tuple(w))
+        return real(family, n, w)
+
+    lattice_points.cache_clear()
+    monkeypatch.setattr(polytope, "lattice_points", spy)
+    assert minkowski_verify("odd", 2, (1, 0), (0, 1)) is None
+    assert sorted(calls) == [(0, 1), (1, 0)]
+    assert polytope._walk_points.cache_info().currsize == 2
+
+
+def test_point_codes_match_encoded_walk():
+    # Every lam + mu of the acceptance-4 boxes, and ranks 4-6 at the zero
+    # and each fundamental weight.
+    cases = [(n, nu) for n, top in ((1, 4), (2, 4), (3, 2))
+             for nu in product(range(top + 1), repeat=n)]
+    for n in range(4, 7):
+        cases += [(n, tuple(int(i == k) for i in range(n))) for k in range(-1, n)]
+    for family in ("odd", "even"):
+        for n, nu in cases:
+            radix = sum(nu) + 1
+            codes = polytope._point_codes(family, n, nu, radix)
+            walked = polytope._encode(lattice_points(family, n, nu), radix, radix - 1)
+            assert codes == set(walked)
+            assert set(codes.mapping.values()) == {1}
 
 
 def test_minkowski_rejects_digits_that_would_carry(monkeypatch):

@@ -410,6 +410,9 @@ def test_straighten_rejects_bad_input():
          "path label (1,7bar) is not a root of the rank-2 odd poset"),
         ((1, 0), (1, 0, 0, 0, 0, 0), DyckPath("odd", 2, (L(1, 1), L(5, 5, True))),
          "path label (5,5bar) is not a root of the rank-2 odd poset"),
+        # A chain of covers that ends at a barred root off the diagonal.
+        ((1, 0), (1, 0, 1, 0, 0, 0), DyckPath("odd", 2, (L(1, 1), L(1, 2), L(1, 2, True))),
+         "path must end at a barred diagonal root, not at (1,2bar)"),
     ]
     for weight, s, path, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
