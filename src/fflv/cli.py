@@ -318,7 +318,7 @@ def _add_family(parser, default="odd"):
 
 
 def _add_n(parser):
-    parser.add_argument("--n", type=int, required=True, help="rank")
+    parser.add_argument("--n", type=_int_at_least(1), required=True, help="rank")
 
 
 def _add_weight(parser):
@@ -440,7 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("target", choices=VERIFY_TARGETS)
     _add_family(p)
-    p.add_argument("--n", type=int, default=1, help="rank (default %(default)s)")
+    p.add_argument("--n", type=_int_at_least(1), default=1,
+                   help="rank (default %(default)s)")
     _add_sweep_bounds(p, "largest k (n1-formula only)")
     p.set_defaults(func=_cmd_verify)
 

@@ -25,8 +25,11 @@ neither runs over it.
 
 `frontier_count` is the one counting core: a frontier (transfer-matrix) DP
 over the free positions of an `order_walk`, whose states are the values
-that later positions still read.  It counts plain labellings with one integer
-per state, or graded ones with a map of packed keys per state.
+that positions still to be visited read.  It visits them in its own
+elimination order, not in the walk's: on FFLV plans column by column, so a
+state holds about one value per row instead of a whole row.  It counts
+plain labellings with one integer per state, or graded ones with a map of
+packed keys per state.
 `_graded_count` runs it graded over the walk of `lattice_points` and caches
 the {packed key: count} map undecoded.  Characters read it through
 `add_graded_terms`, `point_count` sums it, and `graded_count` decodes it
@@ -47,6 +50,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -261,35 +265,67 @@ def order_walk(floor, preds, up, chain: bool) -> list[tuple[int, ...]]:
         j += 1
 
 
+def _elimination_order(plan):
+    """The entries of a compiled plan in the order `frontier_count` visits them.
+
+    Of the entries whose free predecessors are all placed, the one of
+    largest position goes next.  An FFLV root reads the root above it in
+    its column and the one before it in its row, so on FFLV plans this
+    visits the roots column by column, each column from its first row
+    down: a state holds about one value per row, the column last visited,
+    where the walk's row-major order holds a whole row.
+    """
+    entry = {k: i for i, (k, _, _) in enumerate(plan)}
+    waiting = [len(ps) for _, _, ps in plan]
+    readers = [[] for _ in plan]
+    for i, (_, _, ps) in enumerate(plan):
+        for q in ps:
+            readers[entry[q]].append(i)
+    ready = [-i for i, w in enumerate(waiting) if not w]
+    heapify(ready)
+    order = []
+    while ready:
+        i = -heappop(ready)
+        order.append(plan[i])
+        for r in readers[i]:
+            waiting[r] -= 1
+            if not waiting[r]:
+                heappush(ready, -r)
+    return order
+
+
 def frontier_count(floor, preds, up, steps=None):
     """Count the labellings of `order_walk` without listing them.
 
     A frontier (transfer-matrix) DP over the free positions of the compiled
-    plan (`_compile`): a state holds the values of the free positions that
-    later ones still read as predecessors.  A forced position has one
+    plan (`_compile`), visited in `_elimination_order`: a state holds the
+    values of the visited free positions that positions still to be
+    visited read as predecessors.  No labelling's count or key depends on
+    that order, so the result does not either, except for the order in
+    which the returned map iterates.  A forced position has one
     value and chain coordinate 0, so it adds neither a factor nor a state.
     Without ``steps`` each state carries one integer, the number of partial
     labellings that reach it, and the total comes back as an int; a
-    position that no later position reads adds count * (up - low + 1)
-    without a state per value.  With ``steps`` each state carries a map
-    from packed keys to counts, and the map {key: count} over all
-    labellings comes back, where a labelling's key is the sum of
-    (x[k] - low(k)) * steps[k] over its positions.  An inconsistent plan
-    raises ValueError, as for `order_walk`.
+    position that no position still to be visited reads adds
+    count * (up - low + 1) without a state per value.  With ``steps`` each
+    state carries a map from packed keys to counts, and the map
+    {key: count} over all labellings comes back, where a labelling's key
+    is the sum of (x[k] - low(k)) * steps[k] over its positions.  An
+    inconsistent plan raises ValueError, as for `order_walk`.
     """
-    plan = _compile(floor, preds, up)
-    last_read = [-1] * len(up)      # the last position that reads each value
-    for k, _, ps in plan:
+    order = _elimination_order(_compile(floor, preds, up))
+    last_read = [-1] * len(up)      # the last step that reads each value
+    for t, (_, _, ps) in enumerate(order):
         for q in ps:
-            last_read[q] = k
+            last_read[q] = t
     frontier: list[int] = []        # positions whose values a state holds
     states = {(): 1 if steps is None else {0: 1}}
-    for k, f, ps in plan:
+    for t, (k, f, ps) in enumerate(order):
         u = up[k]
         slot = {q: i for i, q in enumerate(frontier)}
         read = [slot[q] for q in ps]
-        keep = [i for i, q in enumerate(frontier) if last_read[q] > k]
-        live = last_read[k] > k
+        keep = [i for i, q in enumerate(frontier) if last_read[q] > t]
+        live = last_read[k] > t
         frontier = [frontier[i] for i in keep] + [k] * live
         step = None if steps is None else steps[k]
         nxt: dict = {}

@@ -357,6 +357,22 @@ def test_empty_sweeps_are_usage_errors(capsys):
         assert "must be at least" in err
 
 
+def test_rank_below_one_is_a_usage_error(capsys):
+    # Checked by the parser, before a sweep can fail on it with a message
+    # that does not name the option.
+    for argv in (
+        ["verify", "minkowski", "--n", "-1"],
+        ["verify", "abs", "--n", "0"],
+        ["points", "--family", "odd", "--n", "0", "--weight", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--n" in err and "must be at least 1" in err
+
+
 def test_verify_rejects_an_ignored_family(capsys):
     # These sweeps check the odd family only; a pass for --family even would
     # report a check that was not made.

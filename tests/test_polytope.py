@@ -315,9 +315,38 @@ def assert_walk_matches_reference(floor, preds, up, rng):
     return labellings
 
 
+def checked_elimination_order(floor, preds, up):
+    """`frontier_count`'s order of the compiled plan, checked entry by entry:
+    each compiled entry comes once, and each is the ready entry (all free
+    predecessors placed) of largest position."""
+    plan = polytope._compile(floor, preds, up)
+    order = polytope._elimination_order(plan)
+    assert sorted(order) == plan
+    placed = set()
+    for k, _, ps in order:
+        ready = [j for j, _, qs in plan
+                 if j not in placed and placed.issuperset(qs)]
+        assert k == max(ready)
+        placed.add(k)
+    return order
+
+
+def drops_early_by_index(order):
+    """Whether frontier bookkeeping in position indices would drop a value
+    before its last reader in ``order``: some position visited before that
+    reader has an index at least that of every reader of the value."""
+    last_step, top_reader = {}, {}
+    for t, (k, _, ps) in enumerate(order):
+        for q in ps:
+            last_step[q] = t
+            top_reader[q] = max(top_reader.get(q, k), k)
+    positions = [k for k, _, _ in order]
+    return any(max(positions[:t]) >= top_reader[q] for q, t in last_step.items())
+
+
 def test_compiled_walk_matches_reference_on_random_plans():
     rng = random.Random(1313)
-    forced_runs = forced_feeds_free = 0
+    forced_runs = forced_feeds_free = reordered = early_drops = 0
     for _ in range(400):
         floor, preds, up = random_plan(rng)
         labellings = assert_walk_matches_reference(floor, preds, up, rng)
@@ -325,8 +354,13 @@ def test_compiled_walk_matches_reference_on_random_plans():
         forced_runs += any(all(forced[k:k + 3]) for k in range(len(up) - 2))
         forced_feeds_free += any(
             forced[q] and not forced[k] for k, ps in enumerate(preds) for q in ps)
-    # The plans exercise what the compile step folds away.
+        order = checked_elimination_order(floor, preds, up)
+        reordered += order != sorted(order)
+        early_drops += drops_early_by_index(order)
+    # The plans exercise what the compile step folds away, and a DP order
+    # whose frontier must be kept in steps of the order, not by index.
     assert forced_runs >= 20 and forced_feeds_free >= 20
+    assert reordered >= 20 and early_drops >= 20
     floor, preds, up = long_chain_plan()
     labellings = assert_walk_matches_reference(floor, preds, up, rng)
     assert len(labellings) == sys.getrecursionlimit() + 51
@@ -342,8 +376,18 @@ def test_compiled_walk_matches_reference_on_fflv_plans():
             for weight in product(range(3), repeat=n):
                 if sum(weight) > 2:
                     continue
-                _, floor, preds, up = polytope._walk_plan(family, n, weight)
+                poset, floor, preds, up = polytope._walk_plan(family, n, weight)
                 assert_walk_matches_reference(floor, preds, up, rng)
+                # Column by column, each column from its first row down.
+                order = [k for k, _, _ in checked_elimination_order(floor, preds, up)]
+                assert order == sorted(order, key=lambda k: column_major(
+                    poset.roots[k].label, n))
+
+
+def column_major(label, n):
+    """Columns 1, ..., n, then the barred columns n, ..., 1; rows within."""
+    col = 2 * n + 1 - label.col if label.barred else label.col
+    return col, label.row
 
 
 def test_prefix_plan_matches_marking_plan():
