@@ -164,24 +164,23 @@ def _toposort(succ: tuple, pred: tuple) -> tuple:
 
 
 def _order_plan(poset: MarkedPoset):
-    """The walk that `order_points` and `order_count` run.
-
-    Returns the unmarked elements in topological order, and per walk
-    position its floor (the largest marking below it, else the least
-    marking), its walked predecessors as walk positions, and its upper
-    bound (the least marking above it).
+    """The walk that `order_points` and `order_count` run: every element in
+    topological order, and per walk position its floor, its predecessors
+    and its bound.  A marked element has floor = bound = its marking, so
+    `polytope._compile` fixes it and folds it into the floors above it; an
+    unmarked one has the least marking as floor and the least marking
+    above it as bound.
     """
     marking, succ, pred = poset._marking, poset._succ, poset._pred
     upper = list(marking)
     for i in reversed(poset._topo):
         if upper[i] is None:
             upper[i] = min(upper[s] for s in succ[i])
-    walk = [i for i in poset._topo if marking[i] is None]
+    walk = poset._topo
     position = {i: k for k, i in enumerate(walk)}
     lowest = min((m for m in marking if m is not None), default=0)
-    floor = [max((marking[q] for q in pred[i] if marking[q] is not None), default=lowest)
-             for i in walk]
-    preds = [[position[q] for q in pred[i] if marking[q] is None] for i in walk]
+    floor = [lowest if marking[i] is None else marking[i] for i in walk]
+    preds = [[position[q] for q in pred[i]] for i in walk]
     return walk, floor, preds, [upper[i] for i in walk]
 
 
@@ -189,21 +188,15 @@ def order_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
     """Integer labellings that extend the markings monotonically.
 
     Each point is a tuple over all elements in canonical order, with marked
-    slots holding their markings.  `polytope.order_walk` takes each unmarked
-    element from the largest value below it to the least marking above it.
+    slots holding their markings.  `polytope.order_walk` fixes the marked
+    elements and takes each unmarked one from the largest value below it
+    to the least marking above it, in walk order.
     """
     walk, floor, preds, up = _order_plan(poset)
-    marking = poset._marking
-    marked = [i for i, m in enumerate(marking) if m is not None]
-    # Each canonical slot indexes into (walked values + markings).
-    slots = [0] * len(marking)
-    for k, i in enumerate(walk + marked):
-        slots[i] = k
-    marks = tuple(marking[i] for i in marked)
-    if len(slots) < 2:      # no walked element, and itemgetter needs two slots
-        return (marks,)
-    pick = itemgetter(*slots)
-    points = [pick(x + marks) for x in order_walk(floor, preds, up, False)]
+    points = order_walk(floor, preds, up, False)
+    if len(walk) > 1:       # itemgetter of one slot returns a bare value
+        canonical = sorted(range(len(walk)), key=walk.__getitem__)
+        points = map(itemgetter(*canonical), points)
     # On FFLV and random posets the canonical-first walk is sorted already.
     return tuple(sorted(points))
 

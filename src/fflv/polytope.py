@@ -43,6 +43,8 @@ the sumset is a set of ints.  P(lam) and P(mu) come from the walk;
 P(lam + mu) comes from `frontier_count` with place values as steps, whose
 keys are the codes themselves, so the two sides are independent engines.
 The radix bound is proved on the plan of lam + mu before the DP runs.
+`slice_verify` pairs the same two engines, the walk for the odd points and
+DP codes for the even slice, so neither side builds a Dyck path.
 """
 
 from __future__ import annotations
@@ -570,18 +572,22 @@ def _compare(got: Set, want: Set, decode=lambda p: p) -> Counterexample | None:
     return Counterexample("extra", decode(min(got - want)))
 
 
-def _point_codes(family: str, n: int, weight: tuple[int, ...], radix: int):
+def _point_codes(family: str, n: int, weight: tuple[int, ...], radix: int, cut=()):
     """The mixed-radix codes of P(weight), as `_encode` gives them, from the
     frontier DP: no point is walked or stored.
 
-    Position k's step is its place radix^(N-1-k), so a labelling's key is
-    the code of its chain coordinates.  A coordinate is at most radix - 1
-    (`_check_chain_range`, on the plan), so distinct points get distinct
-    codes and every count is 1.  Returns the keys view of the DP's map.
+    A position's step is its place: the j-th of the width positions not in
+    ``cut`` has radix^(width-1-j), each cut one radix^width.  A coordinate
+    is at most radix - 1 (`_check_chain_range`, on the plan), so no kept
+    digit carries: a key below radix^width is the code of a point that is 0
+    on the cut, and without a cut every count is 1.  Returns the keys view.
     """
     _, floor, preds, up = _walk_plan(family, n, weight)
     _check_chain_range(floor, up, radix - 1)
-    places = [radix ** k for k in reversed(range(len(up)))]
+    kept = [k for k in range(len(up)) if k not in cut]
+    places = [radix ** len(kept)] * len(up)
+    for k, e in zip(kept, reversed(range(len(kept)))):
+        places[k] = radix ** e
     return frontier_count(floor, preds, up, places).keys()
 
 
@@ -622,19 +628,18 @@ def slice_verify(n: int, lam: tuple[int, ...]) -> Counterexample | None:
     for (lam, 0) sliced at the barred column n+1.
 
     Labels away from column n+1 agree verbatim between the two posets, so
-    the identification is the identity on (row, col) pairs.
+    the identification is the identity on (row, col) pairs.  The odd points
+    come from the walk, the even slice from `_point_codes` with column n+1
+    cut: its codes below radix^width are decoded and compared as tuples.
     """
     lam = check_weight("odd", n, lam)
     odd_pts = set(lattice_points("odd", n, lam))
-    even_sys = inequalities("even", n + 1, lam + (0,))
-    cut, keep = [], []
-    for k, root in enumerate(even_sys.poset.roots):
-        (cut if root.label.barred and root.label.col == n + 1 else keep).append(k)
-    sliced = {
-        tuple(p[k] for k in keep)
-        for p in enumerate_points(even_sys)
-        if not any(p[k] for k in cut)
-    }
+    labels = build_poset("even", n + 1).labels()
+    cut = {k for k, lab in enumerate(labels) if lab.barred and lab.col == n + 1}
+    radix, width = sum(lam) + 1, len(labels) - len(cut)
+    codes = _point_codes("even", n + 1, lam + (0,), radix, cut)
+    top = radix ** width
+    sliced = {_decode(c, radix, width) for c in codes if c < top}
     return _compare(sliced, odd_pts)
 
 

@@ -12,6 +12,7 @@ Roots carry eps-coordinates over (eps_1, ..., eps_n, eps_0).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -31,9 +32,9 @@ def _check_family_rank(family: str, n: int) -> None:
 
 
 def check_weight(family: str, n: int, weight) -> tuple[int, ...]:
-    """Validate family, rank n >= 1 and m_1, ..., m_n; return the weight as a tuple."""
+    """Validate family, rank n >= 1 and integers m_1, ..., m_n; return them as a tuple."""
     _check_family_rank(family, n)
-    weight = tuple(weight)
+    weight = tuple(map(operator.index, weight))
     if len(weight) != n:
         raise ValueError("weight length must equal the rank")
     if any(m < 0 for m in weight):

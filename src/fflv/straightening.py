@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .polytope import Counterexample
-from .rootsys import RootLabel, RootPoset, build_poset
+from .rootsys import RootLabel, RootPoset, build_poset, check_weight
 
 # One byte holds each exponent of a packed monomial.
 DEGREE_LIMIT = 255
@@ -341,6 +341,7 @@ class Straightener:
     def straighten(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> dict:
         """Apply both operator words to the pure power of f_{1,1bar}."""
         _, plan_factors, _ = self._check_path_point(s, path)
+        weight = check_weight("odd", self.n, weight)
         sigma = sum(s)
         if sigma < sum(weight) + 1:
             raise ValueError("exponent vector does not violate the path bound")

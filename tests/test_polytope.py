@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflv import polytope
-from fflv.characters import dim
+from fflv import polytope, rootsys
+from fflv.characters import dim, qchar_polytope, qdim
+from fflv.marked_poset import fflv_marked_poset
 from fflv.polytope import (
     Counterexample,
     contains,
@@ -438,6 +439,25 @@ def test_lattice_points_normalizes_weight():
                 count(family, n, weight)
 
 
+def test_public_callers_reject_non_integer_weights():
+    # Read as a float, m_1 = 1.5 once gave six points with a coordinate 2.
+    calls = [
+        lambda w: lattice_points("odd", 1, w),
+        lambda w: dim("odd", 1, w),
+        lambda w: qdim("odd", 1, w),
+        lambda w: graded_count("odd", 1, w),
+        lambda w: qchar_polytope("odd", 1, w),
+        lambda w: minkowski_verify("odd", 1, w, (1,)),
+        lambda w: minkowski_verify("odd", 1, (1,), w),
+        lambda w: slice_verify(1, w),
+        lambda w: fflv_marked_poset("odd", 1, w),
+    ]
+    for call in calls:
+        for weight in ((1.5,), (1.0,), ("1",)):
+            with pytest.raises(TypeError):
+                call(weight)
+
+
 def test_point_counts_frozen():
     table = {
         ("odd", 1, (1,)): 3,
@@ -707,6 +727,54 @@ def test_slice_reports_missing_point(monkeypatch):
     with monkeypatch.context() as m:
         patch_points(m, (1, 1), lambda pts: pts[1:] + [bad])
         assert slice_verify(2, (1, 1)) == Counterexample("missing", bad)
+
+
+def test_slice_reports_point_beyond_radix(monkeypatch):
+    # The even side's radix is |lam| + 1 = 2, so (2, 0) has no code; the
+    # sides are compared as tuples, and the planted point is reported.
+    with monkeypatch.context() as m:
+        patch_points(m, (1,), lambda pts: pts + [(2, 0)])
+        assert slice_verify(1, (1,)) == Counterexample("missing", (2, 0))
+
+
+def reference_slice(n, lam):
+    """The slice on the even side's path inequalities: the slack search over
+    every Dyck path of even rank n + 1, kept where column n + 1 is 0."""
+    system = inequalities("even", n + 1, tuple(lam) + (0,))
+    cut = {k for k, lab in enumerate(system.poset.labels())
+           if lab.barred and lab.col == n + 1}
+    return {tuple(x for k, x in enumerate(p) if k not in cut)
+            for p in enumerate_points(system) if not any(p[k] for k in cut)}
+
+
+def test_slice_matches_reference_slice(monkeypatch):
+    # The slice that slice_verify compares comes from the frontier DP; the
+    # reference builds the even side's path inequalities instead.
+    compared = []
+    real = polytope._compare
+    monkeypatch.setattr(polytope, "_compare",
+                        lambda got, want: compared.append(got) or real(got, want))
+    cases = [(n, lam) for n in (1, 2) for lam in product(range(3), repeat=n)]
+    cases += [(3, lam) for lam in product(range(2), repeat=3)]
+    for n, lam in cases:
+        want = reference_slice(n, lam)
+        assert want == set(lattice_points("odd", n, lam))
+        assert slice_verify(n, lam) is None
+        assert compared.pop() == want
+
+
+def test_slice_builds_no_dyck_path(monkeypatch):
+    # The even side comes from the frontier DP, so a one-point slice at
+    # rank 10 searches no path inequality of the even rank-11 poset.
+    def forbidden(*args):
+        raise AssertionError("slice_verify built path inequalities")
+
+    for name in ("inequalities", "enumerate_points", "dyck_paths"):
+        monkeypatch.setattr(polytope, name, forbidden)
+    monkeypatch.setattr(rootsys, "dyck_paths", forbidden)
+    lattice_points.cache_clear()
+    assert slice_verify(10, (0,) * 10) is None
+    assert slice_verify(8, (1,) + (0,) * 7) is None
 
 
 def test_ehrhart_rank1():

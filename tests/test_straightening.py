@@ -420,6 +420,14 @@ def test_straighten_rejects_bad_input():
         if "bound" not in message:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 eng.build_delta_ops(s, path)
+    # The weight is checked before the path bound: a negative or too long
+    # weight would otherwise let s pass the bound check.
+    eng1 = Straightener(1)
+    for weight, message in (((-3,), "fundamental coordinates must be nonnegative"),
+                            ((0, 0), "weight length must equal the rank")):
+        for call in (eng1.straighten, eng1.verify):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(weight, (1, 0), rank1)
 
 
 def test_exhaustive_sweep_small_ranks():
