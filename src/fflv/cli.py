@@ -15,19 +15,6 @@ import sys
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from . import marked_poset as mp
-from . import straightening as st
-from .characters import dim as dim_fn
-from .characters import qchar_branching, qchar_polytope
-from .polytope import (
-    counts_to_csv,
-    ehrhart_counts,
-    inequalities,
-    lattice_points,
-    minkowski_verify,
-    points_to_jsonlines,
-    slice_verify,
-)
 from .rootsys import RootLabel, build_poset, dyck_paths
 
 VERIFY_TARGETS = (
@@ -111,7 +98,9 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_ineq(args) -> int:
-    system = inequalities(args.family, args.n, args.weight)
+    from . import polytope
+
+    system = polytope.inequalities(args.family, args.n, args.weight)
     if args.format == "text":
         for idxs, row in zip(system._row_support_idx, system.rows):
             terms = " + ".join(f"s{system.poset.roots[k].label}" for k in idxs)
@@ -122,44 +111,59 @@ def _cmd_ineq(args) -> int:
 
 
 def _cmd_points(args) -> int:
+    from . import polytope
+
     if args.count:
-        print(dim_fn(args.family, args.n, args.weight))
+        print(polytope.plain_count(args.family, args.n, args.weight))
         return 0
-    points = lattice_points(args.family, args.n, args.weight)
+    points = polytope.lattice_points(args.family, args.n, args.weight)
     if args.format == "csv":
         for p in points:
             print(",".join(str(x) for x in p))
     else:
-        print(points_to_jsonlines(points))
+        print(polytope.points_to_jsonlines(points))
     return 0
 
 
 def _cmd_char(args) -> int:
+    from . import characters
+
     if args.method == "branching":
         if args.family != "odd":
             raise ValueError("the branching character is defined for the odd family")
-        char = qchar_branching(args.n, args.weight)
+        char = characters.qchar_branching(args.n, args.weight)
     else:
-        char = qchar_polytope(args.family, args.n, args.weight)
+        char = characters.qchar_polytope(args.family, args.n, args.weight)
     _dump(char.to_json())
     return 0
 
 
 def _cmd_dim(args) -> int:
-    print(dim_fn(args.family, args.n, args.weight, args.method))
+    if args.method == "polytope":
+        from . import polytope
+
+        print(polytope.plain_count(args.family, args.n, args.weight))
+    else:
+        from . import characters
+
+        print(characters.dim(args.family, args.n, args.weight, args.method))
     return 0
 
 
 def _cmd_ehrhart(args) -> int:
-    counts = ehrhart_counts(args.family, args.n, args.weight, args.t_max)
+    from . import polytope
+
+    counts = polytope.ehrhart_counts(args.family, args.n, args.weight, args.t_max)
     if args.format == "csv":
-        print(counts_to_csv(counts))
+        print(polytope.counts_to_csv(counts))
     else:
         _dump(list(counts))
     return 0
 
 
 def _cmd_transfer(args) -> int:
+    from . import marked_poset as mp
+
     poset = mp.fflv_marked_poset(args.family, args.n, args.weight)
     order = mp.order_points(poset)
     chain = mp.chain_points(poset)
@@ -178,6 +182,8 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_n1(args) -> int:
+    from . import marked_poset as mp
+
     report = mp.n1_report(args.max_k, args.max_coeff)
     if args.format == "text":
         for r in report["results"]:
@@ -212,20 +218,25 @@ def _outcome(keys: dict, failure) -> dict | None:
     return {**keys, "kind": failure.kind, "point": list(failure.point)}
 
 
-# One case generator per verify target, in the CLI's instance order.  The
-# checkers are looked up when called, so a wrapper installed on a module
+# One case generator per verify target, in the CLI's instance order.  Each
+# imports the module that defines its checker and calls through it, so the
+# checker is looked up when called and a wrapper installed on that module's
 # binding sees every call.
 
 
 def minkowski_cases(family: str, n: int, max_coeff: int):
+    from . import polytope
+
     for lam, mu in combinations_with_replacement(_all_weights(n, max_coeff), 2):
         yield _outcome(
             {"family": family, "lambda": list(lam), "mu": list(mu)},
-            minkowski_verify(family, n, lam, mu),
+            polytope.minkowski_verify(family, n, lam, mu),
         )
 
 
 def abs_cases(family: str, n: int, max_coeff: int):
+    from . import marked_poset as mp
+
     for weight in _all_weights(n, max_coeff):
         yield _outcome(
             {"family": family, "weight": list(weight)},
@@ -234,14 +245,18 @@ def abs_cases(family: str, n: int, max_coeff: int):
 
 
 def slice_cases(n: int, max_coeff: int):
+    from . import polytope
+
     for weight in _all_weights(n, max_coeff):
-        yield _outcome({"weight": list(weight)}, slice_verify(n, weight))
+        yield _outcome({"weight": list(weight)}, polytope.slice_verify(n, weight))
 
 
 def qchar_cases(n: int, max_coeff: int):
+    from . import characters
+
     for weight in _all_weights(n, max_coeff):
-        a = qchar_polytope("odd", n, weight).terms
-        b = qchar_branching(n, weight).terms
+        a = characters.qchar_polytope("odd", n, weight).terms
+        b = characters.qchar_branching(n, weight).terms
         if a == b:
             yield None
             continue
@@ -266,7 +281,9 @@ def _violating_vectors(engine, path, sigma):
 
 
 def straightening_cases(n: int, max_coeff: int):
-    engine = st.Straightener(n)
+    from . import straightening
+
+    engine = straightening.Straightener(n)
     paths = [
         p
         for p in dyck_paths(engine.poset)
@@ -294,6 +311,8 @@ def _cmd_verify(args) -> int:
     if args.family != "odd":
         raise ValueError(f"verify {target} checks the odd family only")
     if target == "n1-formula":
+        from . import marked_poset as mp
+
         # Its instances are summed over the attachments it compares.
         report = mp.n1_report(args.max_k, max_coeff)
         instances = sum(r["checked"] for r in report["results"])
@@ -354,9 +373,10 @@ def _add_format(parser, choices=("json", "text")):
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
 
-    Each verb's handler reads the library functions it calls from this
-    module's globals when it runs, so a replaced function takes effect in
-    a parser built before it.
+    Each verb's handler imports the modules it calls when it runs and
+    reads their functions from them, so a replaced function takes effect
+    in a parser built before it, and a process loads only the modules its
+    verb needs.
     """
     parser = argparse.ArgumentParser(
         prog="fflv",

@@ -34,7 +34,7 @@ packed keys per state.
 the {packed key: count} map undecoded.  Characters read it through
 `add_graded_terms`, `point_count` sums it, and `graded_count` decodes it
 on each call; `lattice_points` is their oracle, and Ehrhart counts stay on
-the walk.  `marked_poset.order_count` runs the DP plain.
+the walk.  `plain_count` and `marked_poset.order_count` run the DP plain.
 
 `minkowski_verify` checks P(lam) + P(mu) = P(lam + mu) on integer codes:
 each point is read as a mixed-radix number whose radix exceeds every
@@ -44,7 +44,8 @@ P(lam + mu) comes from `frontier_count` with place values as steps, whose
 keys are the codes themselves, so the two sides are independent engines.
 The radix bound is proved on the plan of lam + mu before the DP runs.
 `slice_verify` pairs the same two engines, the walk for the odd points and
-DP codes for the even slice, so neither side builds a Dyck path.
+DP codes for the even slice, so neither side builds a Dyck path, and it
+too compares codes.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import combinations_with_replacement, starmap
+from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -500,6 +503,14 @@ def point_count(family: str, n: int, weight: tuple[int, ...]) -> int:
     return sum(_graded_count(family, n, weight)[0].values())
 
 
+def plain_count(family: str, n: int, weight) -> int:
+    """The number of lattice points, from `frontier_count` run plain over
+    the walk plan: nothing is graded, walked or cached.  The weight is
+    validated first."""
+    _, floor, preds, up = _walk_plan(family, n, check_weight(family, n, weight))
+    return frontier_count(floor, preds, up)
+
+
 def graded_count(family: str, n: int, weight) -> Mapping[Weight, tuple[tuple[int, int], ...]]:
     """Lattice points counted by weight, then degree: {wt: ((deg, count), ...)}.
 
@@ -615,10 +626,13 @@ def minkowski_verify(
     mu = check_weight(family, n, mu)
     radix = sum(lam) + sum(mu) + 1
     a = _encode(lattice_points(family, n, lam), radix, sum(lam))
-    b = _encode(lattice_points(family, n, mu), radix, sum(mu))
+    if lam == mu:   # addition commutes: each unordered pair once
+        sumset = set(starmap(add, combinations_with_replacement(a, 2)))
+    else:
+        b = _encode(lattice_points(family, n, mu), radix, sum(mu))
+        sumset = {x + y for x in a for y in b}
     lam_mu = tuple(x + y for x, y in zip(lam, mu))
     total = _point_codes(family, n, lam_mu, radix)
-    sumset = {x + y for x in a for y in b}
     length = len(build_poset(family, n).roots)
     return _compare(sumset, total, lambda code: _decode(code, radix, length))
 
@@ -630,17 +644,24 @@ def slice_verify(n: int, lam: tuple[int, ...]) -> Counterexample | None:
     Labels away from column n+1 agree verbatim between the two posets, so
     the identification is the identity on (row, col) pairs.  The odd points
     come from the walk, the even slice from `_point_codes` with column n+1
-    cut: its codes below radix^width are decoded and compared as tuples.
+    cut: its codes below radix^width are compared with the odd points'
+    codes in the same layout, and only the reported point is decoded.  An
+    odd point with a coordinate outside [0, radix) has no code; then the
+    sides are compared as tuples, and that point is missing from the slice.
     """
     lam = check_weight("odd", n, lam)
-    odd_pts = set(lattice_points("odd", n, lam))
+    odd_pts = lattice_points("odd", n, lam)
     labels = build_poset("even", n + 1).labels()
     cut = {k for k, lab in enumerate(labels) if lab.barred and lab.col == n + 1}
     radix, width = sum(lam) + 1, len(labels) - len(cut)
     codes = _point_codes("even", n + 1, lam + (0,), radix, cut)
     top = radix ** width
-    sliced = {_decode(c, radix, width) for c in codes if c < top}
-    return _compare(sliced, odd_pts)
+    sliced = {c for c in codes if c < top}
+    try:
+        odd_codes = set(_encode(odd_pts, radix, radix - 1))
+    except ArithmeticError:
+        return _compare({_decode(c, radix, width) for c in sliced}, set(odd_pts))
+    return _compare(sliced, odd_codes, lambda code: _decode(code, radix, width))
 
 
 def ehrhart_counts(

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import fflv
-from fflv import cli, marked_poset
-from fflv.characters import GradedCharacter, qchar_branching, qchar_polytope
+from fflv import cli, marked_poset, polytope
+from fflv.characters import GradedCharacter, dim, qchar_branching, qchar_polytope
 from fflv.cli import main
 from fflv.marked_poset import n1_report
 from fflv.polytope import Counterexample
@@ -42,6 +42,27 @@ def test_dim(capsys):
                        "--weight", "1,1")
     assert code == 0
     assert out == "35\n"
+
+
+def test_counts_are_not_graded(capsys, monkeypatch):
+    # points --count and dim --method polytope count on the plain frontier
+    # DP; characters.dim sums the graded map, which they never build.
+    def graded(*args):
+        raise AssertionError("a count built the graded map")
+
+    cases = [("odd", 2, (1, 1)), ("even", 3, (1, 0, 2)), ("odd", 1, (0,))]
+    with monkeypatch.context() as m:
+        m.setattr(polytope, "_graded_count", graded)
+        outs = []
+        for family, n, weight in cases + [("odd", 5, (1,) * 5)]:
+            argv = ("--family", family, "--n", str(n),
+                    "--weight", ",".join(map(str, weight)))
+            code, out, _ = run(capsys, "points", *argv, "--count")
+            assert code == 0
+            assert run(capsys, "dim", *argv, "--method", "polytope") == (0, out, "")
+            outs.append(int(out))
+    assert outs[:-1] == [dim(family, n, weight) for family, n, weight in cases]
+    assert outs[-1] == dim("odd", 5, (1,) * 5, "branching") == 217965891
 
 
 def test_paths_count(capsys):
@@ -250,7 +271,7 @@ def failing_at(k, failure):
     "checker, argv, k, failure, line",
     [
         (
-            "fflv.cli.minkowski_verify",
+            "fflv.polytope.minkowski_verify",
             ["minkowski", "--family", "even", "--n", "2", "--max-coeff", "1"],
             3, Counterexample("missing", (1, 0, 2)),
             '{"target": "minkowski", "instances": 3, "failures": 1, '
@@ -268,7 +289,7 @@ def failing_at(k, failure):
             '"point": [2, 1]}}',
         ),
         (
-            "fflv.cli.slice_verify",
+            "fflv.polytope.slice_verify",
             ["slice", "--n", "2", "--max-coeff", "2"],
             5, Counterexample("extra", (0, 1, 0, 0, 0, 0)),
             '{"target": "slice", "instances": 5, "failures": 1, '
@@ -304,7 +325,7 @@ def test_verify_qchar_names_the_least_differing_weight(capsys, monkeypatch):
         calls.append(weight)
         return GradedCharacter() if len(calls) == 3 else qchar_branching(n, weight)
 
-    monkeypatch.setattr("fflv.cli.qchar_branching", branching)
+    monkeypatch.setattr("fflv.characters.qchar_branching", branching)
     code, out, _ = run(capsys, "verify", "qchar", "--n", "1", "--max-coeff", "2")
     assert code == 1
     assert out == (

@@ -1,9 +1,18 @@
 """The package imports nothing beyond the standard library, its modules
-import each other in layers, and it runs on the oldest supported Python."""
+import each other in layers, a process loads only the modules it uses, and
+it runs on the oldest supported Python."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import fflv
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fflv"
 
@@ -76,3 +85,72 @@ def test_int_byte_conversions_name_the_byte_order():
                 calls.append((path.name, node.lineno, named or len(node.args) >= 2))
     assert calls
     assert [call for call in calls if not call[2]] == []
+
+
+def test_exports_resolve_to_their_defining_modules():
+    for name in fflv.__all__[:-1]:
+        value = getattr(fflv, name)
+        defining = [module for module, exported in fflv._EXPORTS.items()
+                    if name in exported]
+        assert len(defining) == 1, name
+        module = importlib.import_module(f"fflv.{defining[0]}")
+        assert value is getattr(module, name), name
+        if hasattr(value, "__module__"):
+            assert value.__module__ == module.__name__, name
+    assert dir(fflv) == sorted(fflv.__all__)
+
+
+def test_exports_read_the_defining_module_on_each_access(monkeypatch):
+    # Nothing is cached in the package, so a patch on the defining module
+    # is what the package name returns.
+    from fflv import polytope
+
+    marker = object()
+    monkeypatch.setattr(polytope, "minkowski_verify", marker)
+    assert fflv.minkowski_verify is marker
+    monkeypatch.undo()
+    assert fflv.minkowski_verify is polytope.minkowski_verify
+    assert "minkowski_verify" not in vars(fflv)
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from fflv import *", namespace)
+    assert {name: namespace[name] for name in fflv.__all__} == {
+        name: getattr(fflv, name) for name in fflv.__all__}
+    assert namespace["__version__"] == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fflv.no_such_name
+    assert not hasattr(fflv, "no_such_name")
+
+
+# Run in a fresh interpreter: import the package and the CLI, run one verb,
+# then print the fflv modules loaded.
+COLD_START = """\
+import json, sys
+import fflv, fflv.cli
+fflv.cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "fflv")))
+"""
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    src = str(Path(fflv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ("paths --family odd --n 1 --count", set()),
+    ("poset --family even --n 2", set()),
+    ("verify minkowski --n 1 --max-coeff 1", {"fflv.polytope"}),
+    ("points --family odd --n 2 --weight 1,1 --count", {"fflv.polytope"}),
+    ("dim --family odd --n 2 --weight 1,1", {"fflv.polytope"}),
+])
+def test_cli_loads_only_the_modules_its_verb_calls(argv, extra):
+    assert loaded_modules(*argv.split()) == {"fflv", "fflv.cli", "fflv.rootsys"} | extra

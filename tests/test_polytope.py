@@ -566,16 +566,18 @@ def test_minkowski_reports_missing_point(monkeypatch):
         want = Counterexample("missing", (3, 0))
         assert minkowski_verify("odd", 1, (1,), (2,)) == want
         assert tuple_sumset_verify("odd", 1, (1,), (2,)) == want
-    # Every single drop from P(lam) agrees with the reference.
+    # Every single drop from P(lam) agrees with the reference, also with
+    # lam = mu, where the sumset runs over unordered pairs.
+    for lam, mu in (((1, 1), (1, 0)), ((1, 1), (1, 1))):
+        kinds = set()
+        for dropped in lattice_points("odd", 2, lam):
+            with monkeypatch.context() as m:
+                patch_points(m, lam, lambda pts: [p for p in pts if p != dropped])
+                got = minkowski_verify("odd", 2, lam, mu)
+                assert got == tuple_sumset_verify("odd", 2, lam, mu)
+                kinds.add(got and got.kind)
+        assert "missing" in kinds
     lam, mu = (1, 1), (1, 0)
-    kinds = set()
-    for dropped in lattice_points("odd", 2, lam):
-        with monkeypatch.context() as m:
-            patch_points(m, lam, lambda pts: [p for p in pts if p != dropped])
-            got = minkowski_verify("odd", 2, lam, mu)
-            assert got == tuple_sumset_verify("odd", 2, lam, mu)
-            kinds.add(got and got.kind)
-    assert "missing" in kinds
     # With P(lam) cut to its zero point the sumset is P(mu), and 85 points
     # of P(lam + mu) go missing; the lexicographically first is reported.
     with monkeypatch.context() as m:
@@ -708,7 +710,7 @@ def test_slice_small_instances():
 
 def test_slice_reports_extra_point(monkeypatch):
     # slice_verify reads the odd points through lattice_points, the even
-    # ones through the slack search: a point dropped from the odd polytope
+    # ones through the frontier DP: a point dropped from the odd polytope
     # is still in the even slice.
     points = lattice_points("odd", 2, (1, 1))
     for dropped in (points[0], points[17], points[-1]):
@@ -749,11 +751,16 @@ def reference_slice(n, lam):
 
 def test_slice_matches_reference_slice(monkeypatch):
     # The slice that slice_verify compares comes from the frontier DP; the
-    # reference builds the even side's path inequalities instead.
+    # reference builds the even side's path inequalities instead.  The
+    # sides are compared as codes, so the spy decodes the slice it sees.
     compared = []
     real = polytope._compare
-    monkeypatch.setattr(polytope, "_compare",
-                        lambda got, want: compared.append(got) or real(got, want))
+
+    def spy(got, want, decode):
+        compared.append(set(map(decode, got)))
+        return real(got, want, decode)
+
+    monkeypatch.setattr(polytope, "_compare", spy)
     cases = [(n, lam) for n in (1, 2) for lam in product(range(3), repeat=n)]
     cases += [(3, lam) for lam in product(range(2), repeat=3)]
     for n, lam in cases:
