@@ -294,6 +294,20 @@ def test_validation_errors():
         MarkedPoset(("c", "m", "b"), (("b", "m"), ("m", "c")), (("m", 1),))
 
 
+def test_construction_error_messages():
+    with pytest.raises(ValueError, match="^cover on unknown element$"):
+        MarkedPoset(("a", "b"), (("a", "ghost"),), (("a", 0), ("b", 1)))
+    with pytest.raises(ValueError, match="^cover relation contains a cycle$"):
+        MarkedPoset(("a", "b"), (("a", "b"), ("b", "a")), (("a", 0),))
+    # A decreasing pair of markings, directly and through unmarked elements.
+    with pytest.raises(ValueError, match="^marking decreases along a chain at b$"):
+        MarkedPoset(("a", "b"), (("a", "b"),), (("a", 2), ("b", 1)))
+    with pytest.raises(ValueError, match="^marking decreases along a chain at c$"):
+        MarkedPoset(("a", "w", "x", "c"),
+                    (("a", "w"), ("w", "x"), ("x", "c")),
+                    (("a", 2), ("c", 1)))
+
+
 def test_poset_serialization():
     poset = fflv_marked_poset("odd", 1, (1,))
     data = poset.to_json()
