@@ -102,9 +102,9 @@ def _cmd_ineq(args) -> int:
 
     system = polytope.inequalities(args.family, args.n, args.weight)
     if args.format == "text":
-        for idxs, row in zip(system._row_support_idx, system.rows):
-            terms = " + ".join(f"s{system.poset.roots[k].label}" for k in idxs)
-            print(f"{terms} <= {row.bound}")
+        for row in system.rows:
+            support = sorted(row.support, key=system.poset.index)
+            print(" + ".join(f"s{lab}" for lab in support) + f" <= {row.bound}")
     else:
         _dump(system.to_json())
     return 0
@@ -215,7 +215,7 @@ def _outcome(keys: dict, failure) -> dict | None:
     """None for a pass, else the instance's keys and the failure's kind and point."""
     if failure is None:
         return None
-    return {**keys, "kind": failure.kind, "point": list(failure.point)}
+    return {**keys, **failure.to_json()}
 
 
 # One case generator per verify target, in the CLI's instance order.  Each

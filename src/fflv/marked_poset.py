@@ -7,10 +7,12 @@ points (nonnegative labellings of the unmarked elements whose sums along
 saturated marked-to-marked chains stay within the marking differences).
 The transfer map sends order points to chain points by taking consecutive
 differences; on every poset handled here it is a bijection, which
-`abs_verify` checks by brute force.  `order_count` counts the order points
-without listing them, on `polytope.frontier_count`, the frontier DP that
-also grades the lattice points; by the Ardila-Bliem-Salazar bijection that
-is the chain-point count as well.
+`abs_verify` checks by brute force.  A `MarkedPoset` stores its walk
+plan, built in the one downward pass that also rejects a marking that
+decreases along a chain.  `order_points` walks it, and `order_count`
+counts it without listing a point on `polytope.frontier_count`, the
+frontier DP that also grades the lattice points; by the
+Ardila-Bliem-Salazar bijection that is the chain-point count as well.
 
 The symplectic polytopes of this package arise as chain polytopes: the root
 poset gains one marked element below each row and one above each possible
@@ -27,11 +29,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import product
 from operator import itemgetter
 
-from .polytope import Counterexample, frontier_count, order_walk, slack_search
+from .polytope import (
+    Counterexample, frontier_count, order_walk, slack_search, topological_order,
+)
 from .rootsys import RootLabel, build_poset, check_weight, fflv_markings
 
 
@@ -63,11 +66,13 @@ class MarkedPoset:
     markings: tuple
 
     # Per element index: its marking (None where unmarked), successor and
-    # predecessor indices; then a canonical-first topological order.
+    # predecessor indices.  Then the walk plan, over the elements in a
+    # canonical-first topological order: per element its walk position, and
+    # per walk position its floor, its predecessors' positions and its bound.
     _marking: tuple = field(init=False, repr=False, compare=False)
     _succ: tuple = field(init=False, repr=False, compare=False)
     _pred: tuple = field(init=False, repr=False, compare=False)
-    _topo: tuple = field(init=False, repr=False, compare=False)
+    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {e: i for i, e in enumerate(self.elements)}
@@ -87,33 +92,40 @@ class MarkedPoset:
                 raise ValueError("cover on unknown element")
             succ[index[a]].append(index[b])
             pred[index[b]].append(index[a])
-        object.__setattr__(self, "_marking", tuple(marking))
-        object.__setattr__(self, "_succ", tuple(map(tuple, succ)))
-        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
-        object.__setattr__(self, "_topo", _toposort(self._succ, self._pred))
-        # Along any chain between marked elements the markings must weakly
-        # increase; propagate the running maximum of marked values upward.
-        best = [None] * len(marking)
-        for i in self._topo:
-            here, m = best[i], marking[i]
-            if m is not None:
-                if here is not None and here > m:
-                    raise ValueError(
-                        f"marking decreases along a chain at {_element_name(self.elements[i])}"
-                    )
-                here = m
-            if here is not None:
-                for s in succ[i]:
-                    if best[s] is None or best[s] < here:
-                        best[s] = here
+        walk = topological_order(pred)
         # Minimal elements first, then maximal ones, each in canonical order.
-        for adjacent in (self._pred, self._succ):
+        for adjacent in (pred, succ):
             for e, m, near in zip(self.elements, marking, adjacent):
                 if m is None and not near:
                     raise ValueError(
                         f"extremal element {_element_name(e)} is unmarked; "
                         "the polytope would be unbounded"
                     )
+        # One downward pass: an element's bound is its marking, or else the
+        # least bound above it.  A marked element with a smaller bound above
+        # it lies below a smaller marking: the markings decrease on that chain.
+        up = list(marking)
+        for i in reversed(walk):
+            above = min((up[s] for s in succ[i]), default=up[i])
+            if up[i] is None:
+                up[i] = above
+            elif above < up[i]:
+                name = _element_name(self.elements[i])
+                raise ValueError(f"marking decreases along a chain at {name}")
+        # A marked element has floor = bound = its marking, so
+        # `polytope._compile` fixes it and folds it into the floors above it;
+        # an unmarked one has the least marking as floor.
+        position = tuple(sorted(range(len(walk)), key=walk.__getitem__))
+        lowest = min((m for m in marking if m is not None), default=0)
+        object.__setattr__(self, "_marking", tuple(marking))
+        object.__setattr__(self, "_succ", tuple(map(tuple, succ)))
+        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
+        object.__setattr__(self, "_plan", (
+            position,
+            tuple(lowest if marking[i] is None else marking[i] for i in walk),
+            tuple(tuple(position[q] for q in pred[i]) for i in walk),
+            tuple(up[i] for i in walk),
+        ))
 
     @property
     def unmarked(self) -> tuple:
@@ -146,44 +158,6 @@ class MarkedPoset:
         }
 
 
-def _toposort(succ: tuple, pred: tuple) -> tuple:
-    # Canonical-first, so the order is canonical wherever that is a linear extension.
-    indeg = [len(p) for p in pred]
-    ready = [i for i, d in enumerate(indeg) if d == 0]     # ascending: a heap
-    out = []
-    while ready:
-        i = heappop(ready)
-        out.append(i)
-        for s in succ[i]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heappush(ready, s)
-    if len(out) != len(succ):
-        raise ValueError("cover relation contains a cycle")
-    return tuple(out)
-
-
-def _order_plan(poset: MarkedPoset):
-    """The walk that `order_points` and `order_count` run: every element in
-    topological order, and per walk position its floor, its predecessors
-    and its bound.  A marked element has floor = bound = its marking, so
-    `polytope._compile` fixes it and folds it into the floors above it; an
-    unmarked one has the least marking as floor and the least marking
-    above it as bound.
-    """
-    marking, succ, pred = poset._marking, poset._succ, poset._pred
-    upper = list(marking)
-    for i in reversed(poset._topo):
-        if upper[i] is None:
-            upper[i] = min(upper[s] for s in succ[i])
-    walk = poset._topo
-    position = {i: k for k, i in enumerate(walk)}
-    lowest = min((m for m in marking if m is not None), default=0)
-    floor = [lowest if marking[i] is None else marking[i] for i in walk]
-    preds = [[position[q] for q in pred[i]] for i in walk]
-    return walk, floor, preds, [upper[i] for i in walk]
-
-
 def order_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
     """Integer labellings that extend the markings monotonically.
 
@@ -192,11 +166,10 @@ def order_points(poset: MarkedPoset) -> tuple[tuple[int, ...], ...]:
     elements and takes each unmarked one from the largest value below it
     to the least marking above it, in walk order.
     """
-    walk, floor, preds, up = _order_plan(poset)
+    position, floor, preds, up = poset._plan
     points = order_walk(floor, preds, up, False)
-    if len(walk) > 1:       # itemgetter of one slot returns a bare value
-        canonical = sorted(range(len(walk)), key=walk.__getitem__)
-        points = map(itemgetter(*canonical), points)
+    if len(position) > 1:       # itemgetter of one slot returns a bare value
+        points = map(itemgetter(*position), points)
     # On FFLV and random posets the canonical-first walk is sorted already.
     return tuple(sorted(points))
 
@@ -208,7 +181,7 @@ def order_count(poset: MarkedPoset) -> int:
     (Ardila-Bliem-Salazar), so this is also the number of chain points,
     without enumerating a single marked-to-marked chain.
     """
-    _, floor, preds, up = _order_plan(poset)
+    _, floor, preds, up = poset._plan
     return frontier_count(floor, preds, up)
 
 

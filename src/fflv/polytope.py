@@ -53,7 +53,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import combinations_with_replacement, starmap
 from operator import add
 from types import MappingProxyType
@@ -184,6 +184,29 @@ def enumerate_points(system: InequalitySystem) -> tuple[LatticePoint, ...]:
                         [row.bound for row in system.rows])
 
 
+def topological_order(preds) -> tuple[int, ...]:
+    """Kahn's sort of range(len(preds)), preds[i] holding the indices that
+    come before i: the least ready index goes next, so the order is the
+    identity wherever that is a linear extension.  A cycle raises ValueError.
+    """
+    waiting = [len(ps) for ps in preds]
+    readers = [[] for _ in preds]
+    for i, ps in enumerate(preds):
+        for q in ps:
+            readers[q].append(i)
+    ready = [i for i, w in enumerate(waiting) if not w]     # ascending: a heap
+    order = []
+    while ready:
+        order.append(heappop(ready))
+        for r in readers[order[-1]]:
+            waiting[r] -= 1
+            if not waiting[r]:
+                heappush(ready, r)
+    if len(order) != len(preds):
+        raise ValueError("cover relation contains a cycle")
+    return tuple(order)
+
+
 def _compile(floor, preds, up):
     """The free positions of a walk plan, as (position, folded floor, free preds).
 
@@ -274,29 +297,17 @@ def _elimination_order(plan):
     """The entries of a compiled plan in the order `frontier_count` visits them.
 
     Of the entries whose free predecessors are all placed, the one of
-    largest position goes next.  An FFLV root reads the root above it in
+    largest position goes next: `topological_order` over the plan numbered
+    from its last entry back.  An FFLV root reads the root above it in
     its column and the one before it in its row, so on FFLV plans this
     visits the roots column by column, each column from its first row
     down: a state holds about one value per row, the column last visited,
     where the walk's row-major order holds a whole row.
     """
-    entry = {k: i for i, (k, _, _) in enumerate(plan)}
-    waiting = [len(ps) for _, _, ps in plan]
-    readers = [[] for _ in plan]
-    for i, (_, _, ps) in enumerate(plan):
-        for q in ps:
-            readers[entry[q]].append(i)
-    ready = [-i for i, w in enumerate(waiting) if not w]
-    heapify(ready)
-    order = []
-    while ready:
-        i = -heappop(ready)
-        order.append(plan[i])
-        for r in readers[i]:
-            waiting[r] -= 1
-            if not waiting[r]:
-                heappush(ready, -r)
-    return order
+    backwards = plan[::-1]
+    entry = {k: j for j, (k, _, _) in enumerate(backwards)}
+    order = topological_order([[entry[q] for q in ps] for _, _, ps in backwards])
+    return [backwards[j] for j in order]
 
 
 def frontier_count(floor, preds, up, steps=None):

@@ -42,6 +42,12 @@ def test_dim(capsys):
                        "--weight", "1,1")
     assert code == 0
     assert out == "35\n"
+    assert run(capsys, "dim", "--family", "even", "--n", "2", "--weight", "1,1",
+               "--method", "weyl") == (0, "16\n", "")
+    code, out, err = run(capsys, "dim", "--family", "odd", "--n", "2",
+                         "--weight", "1,1", "--method", "weyl")
+    assert (code, out) == (2, "")
+    assert err == "error: the Weyl formula applies to the even family\n"
 
 
 def test_counts_are_not_graded(capsys, monkeypatch):
@@ -89,6 +95,20 @@ def test_ineq_text(capsys):
         "s(1,1) + s(1,2bar) + s(1,1bar) <= 2",
         "s(1,1) + s(1,2bar) + s(2,2bar) <= 2",
     }
+
+
+def test_text_and_csv_formats(capsys):
+    assert run(capsys, "poset", "--family", "even", "--n", "2",
+               "--format", "text") == (0, (
+        "(1,1)\n(1,2bar)\n(1,1bar)\n(2,2bar)\n"
+        "(1,1) -> (1,2bar)\n(1,2bar) -> (1,1bar)\n(1,2bar) -> (2,2bar)\n"), "")
+    assert run(capsys, "paths", "--family", "odd", "--n", "1",
+               "--format", "text") == (0, "(1,1)\n(1,1) (1,1bar)\n", "")
+    assert run(capsys, "paths", "--family", "odd", "--n", "1") == (0, (
+        '[[{"row": 1, "col": "1"}], '
+        '[{"row": 1, "col": "1"}, {"row": 1, "col": "1bar"}]]\n'), "")
+    assert run(capsys, "points", "--family", "odd", "--n", "1", "--weight", "1",
+               "--format", "csv") == (0, "0,0\n0,1\n1,0\n", "")
 
 
 def test_ehrhart_csv(capsys):
@@ -352,16 +372,24 @@ def test_n1_text(capsys):
     assert out.splitlines()[-1] == "passing: row1_end"
 
 
-def test_usage_errors():
-    with pytest.raises(SystemExit) as exc:
-        main(["points", "--family", "odd", "--n", "2", "--weight", "x"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["points", "--family", "huge", "--n", "2", "--weight", "1,1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["nonsense"])
-    assert exc.value.code == 2
+def test_usage_errors(capsys):
+    for argv, message in (
+        (["points", "--family", "odd", "--n", "2", "--weight", "x"],
+         "argument --weight: weight must be comma-separated integers"),
+        (["points", "--family", "huge", "--n", "2", "--weight", "1,1"],
+         "argument --family: invalid choice"),
+        (["nonsense"], "invalid choice"),
+        (["points", "--n", "2", "--weight", "1,-1"],
+         "argument --weight: weight entries must be nonnegative"),
+        (["points", "--n", "x", "--weight", "1"],
+         "argument --n: expected an integer, got 'x'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
 
 def test_empty_sweeps_are_usage_errors(capsys):

@@ -12,6 +12,7 @@ from fflv.marked_poset import (
     MarkedPoset,
     abs_verify,
     chain_constraints,
+    check_transfer,
     chain_points,
     fflv_marked_poset,
     n1_attachments,
@@ -24,7 +25,7 @@ from fflv.marked_poset import (
 )
 from fflv import marked_poset
 from fflv.characters import dim
-from fflv.polytope import inequalities, lattice_points
+from fflv.polytope import Counterexample, inequalities, lattice_points
 from fflv.rootsys import RootLabel
 from randposets import random_marked_poset
 
@@ -272,6 +273,23 @@ def test_transfer_bijects_order_onto_chain():
     assert images == set(chain_points(poset))
 
 
+def test_check_transfer_failure_kinds():
+    # Doctored order and chain lists reach each failure kind.
+    poset = fflv_marked_poset("odd", 1, (1,))
+    order, chain = order_points(poset), chain_points(poset)
+    assert order == ((0, 0, 0, 1, 1), (0, 1, 0, 1, 1), (1, 1, 0, 1, 1))
+    assert chain == ((0, 0), (0, 1), (1, 0))
+    assert [transfer(poset, x) for x in order] == list(chain)
+    assert check_transfer(poset, order, chain) is None
+    assert check_transfer(poset, order, chain[1:]) == Counterexample(
+        "image_outside_chain_polytope", (0, 0, 0, 1, 1))
+    assert check_transfer(poset, order + order[1:2], chain) == Counterexample(
+        "transfer_not_injective", (0, 1))
+    # The least chain point that no order point reaches is reported.
+    assert check_transfer(poset, order[:1], chain) == Counterexample(
+        "transfer_not_surjective", (0, 1))
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         MarkedPoset(("a", "a"), (), (("a", 0),))
@@ -299,13 +317,18 @@ def test_construction_error_messages():
         MarkedPoset(("a", "b"), (("a", "ghost"),), (("a", 0), ("b", 1)))
     with pytest.raises(ValueError, match="^cover relation contains a cycle$"):
         MarkedPoset(("a", "b"), (("a", "b"), ("b", "a")), (("a", 0),))
-    # A decreasing pair of markings, directly and through unmarked elements.
-    with pytest.raises(ValueError, match="^marking decreases along a chain at b$"):
+    # A decreasing pair of markings, directly and through unmarked elements:
+    # the message names the lower element of the pair.
+    with pytest.raises(ValueError, match="^marking decreases along a chain at a$"):
         MarkedPoset(("a", "b"), (("a", "b"),), (("a", 2), ("b", 1)))
-    with pytest.raises(ValueError, match="^marking decreases along a chain at c$"):
+    with pytest.raises(ValueError, match="^marking decreases along a chain at a$"):
         MarkedPoset(("a", "w", "x", "c"),
                     (("a", "w"), ("w", "x"), ("x", "c")),
                     (("a", 2), ("c", 1)))
+    # An unmarked extreme is reported before a decreasing marking.
+    with pytest.raises(ValueError, match="^extremal element c is unmarked"):
+        MarkedPoset(("a", "b", "c"), (("a", "b"), ("a", "c")),
+                    (("a", 2), ("b", 1)))
 
 
 def test_poset_serialization():

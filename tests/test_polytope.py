@@ -25,6 +25,7 @@ from fflv.polytope import (
     lattice_points,
     minkowski_verify,
     points_to_jsonlines,
+    slack_search,
     slice_verify,
     violated_paths,
 )
@@ -106,6 +107,14 @@ def test_enumeration_matches_box_filter():
         assert list(got) == sorted(got)
         assert len(set(got)) == len(got)
         assert tuple(enumerate_points(system)) == got
+
+
+def test_slack_search_with_a_negative_bound_is_empty():
+    # Not even the zero point satisfies a negative bound; the odometer
+    # starts from zero, so it must not run at all.
+    assert slack_search(2, [(0,), (0, 1)], [1, -1]) == ()
+    assert slack_search(2, [(0,), (0, 1)], [1, 0]) == ((0, 0),)
+    assert slack_search(2, [(0,), (0, 1)], [1, 1]) == ((0, 0), (0, 1), (1, 0))
 
 
 def test_walk_matches_slack_search_sweep():
@@ -330,6 +339,14 @@ def checked_elimination_order(floor, preds, up):
         assert k == max(ready)
         placed.add(k)
     return order
+
+
+def test_topological_order_takes_the_least_ready_index():
+    assert polytope.topological_order([(), (), (0,), (1, 2)]) == (0, 1, 2, 3)
+    assert polytope.topological_order([(2,), (), ()]) == (1, 2, 0)
+    assert polytope.topological_order([]) == ()
+    with pytest.raises(ValueError, match="contains a cycle"):
+        polytope.topological_order([(), (2,), (1,)])
 
 
 def drops_early_by_index(order):
@@ -787,6 +804,8 @@ def test_slice_builds_no_dyck_path(monkeypatch):
 def test_ehrhart_rank1():
     assert ehrhart_counts("odd", 1, (1,), 3) == (1, 3, 6, 10)
     assert ehrhart_counts("even", 1, (1,), 4) == (1, 2, 3, 4, 5)
+    with pytest.raises(ValueError, match="t_max must be nonnegative"):
+        ehrhart_counts("odd", 1, (1,), -1)
 
 
 def test_ehrhart_matches_enumeration():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fflv.polytope import Counterexample
 from fflv.rootsys import DyckPath, RootLabel, build_poset, dyck_paths, wt_deg
 from fflv.straightening import DerivationId, Straightener, _rank_tables
 
@@ -374,6 +375,24 @@ def test_verify_passes_on_frozen_cases():
     pb = paths[(L(1, 1), L(1, 2), L(1, 2, True), L(2, 2, True))]
     assert eng.verify((1, 0), (0, 1, 1, 0, 0, 0), pb) is None
     assert eng.verify((0, 1), (0, 1, 1, 0, 0, 0), pb) is None
+
+
+def test_verify_failure_kinds(monkeypatch):
+    # A doctored straightened polynomial reaches each failure kind.
+    eng = Straightener(2)
+    pb = paths_by_labels(eng)[
+        (L(1, 1), L(1, 2), L(1, 2, True), L(2, 2, True))
+    ]
+    s, lower, bigger = (0, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 0), (0, 0, 2, 0, 0, 0)
+    assert eng.straighten((1, 0), s, pb) == {lower: 2, s: 2}
+    assert eng.order_key(lower) < eng.order_key(s) < eng.order_key(bigger)
+    for poly, failure in [
+        ({lower: 2}, Counterexample("leading_term_missing", s)),
+        ({s: 0, lower: 2}, Counterexample("leading_term_missing", s)),
+        ({s: 2, lower: 2, bigger: 1}, Counterexample("term_not_smaller", bigger)),
+    ]:
+        monkeypatch.setattr(eng, "straighten", lambda *args, poly=poly: poly)
+        assert eng.verify((1, 0), s, pb) == failure
 
 
 def test_verify_lower_order_terms_are_smaller():
