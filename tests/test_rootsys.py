@@ -1,9 +1,16 @@
 """Root poset construction, saturated chains, and coordinate systems."""
 
+import copy
+import pickle
+
 import pytest
 
+from fflv.marked_poset import MarkedPoset
+from fflv.polytope import IneqRow, InequalitySystem
 from fflv.rootsys import (
+    DyckPath,
     RootLabel,
+    RootPoset,
     build_poset,
     dyck_paths,
     fundamental_from_partition,
@@ -242,3 +249,51 @@ def test_build_poset_rejects_bad_input():
 def test_build_poset_is_shared():
     assert build_poset("odd", 3) is build_poset("odd", 3)
     assert build_poset("even", 3) is not build_poset("odd", 3)
+
+
+def test_value_classes_compare_hash_print_and_refuse_assignment():
+    """RootPoset, DyckPath, InequalitySystem and MarkedPoset are immutable
+    values: equal arguments give equal instances with equal hashes, the
+    repr names the compared fields only, and no attribute can be set."""
+    odd1, odd2 = build_poset("odd", 1), build_poset("odd", 2)
+    row = IneqRow(frozenset({L(1, 1)}), 1)
+    cases = [
+        (lambda: RootPoset("odd", 1, tuple(odd1.roots), tuple(odd1.covers)),
+         ("family", "n", "roots", "covers"),
+         "RootPoset(family='odd', n=1, roots=("
+         "Root(label=RootLabel(row=1, col=1, barred=False), eps=(1, -1)), "
+         "Root(label=RootLabel(row=1, col=1, barred=True), eps=(2, 0))), "
+         "covers=((0, 1),))"),
+        (lambda: DyckPath("odd", 1, (L(1, 1),)),
+         ("family", "n", "labels"),
+         "DyckPath(family='odd', n=1, "
+         "labels=(RootLabel(row=1, col=1, barred=False),))"),
+        (lambda: InequalitySystem("odd", 1, (1,), (row,), (), odd1),
+         ("family", "n", "weight", "rows", "paths", "poset"),
+         "InequalitySystem(family='odd', n=1, weight=(1,), rows=(IneqRow("
+         "support=frozenset({RootLabel(row=1, col=1, barred=False)}), "
+         "bound=1),))"),
+        (lambda: MarkedPoset(("a", "x", "b"), (("a", "x"), ("x", "b")),
+                             (("a", 0), ("b", 2))),
+         ("elements", "covers", "markings"),
+         "MarkedPoset(elements=('a', 'x', 'b'), covers=(('a', 'x'), "
+         "('x', 'b')), markings=(('a', 0), ('b', 2)))"),
+    ]
+    for make, fields, text in cases:
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert not a != b and a != ()
+        assert repr(a) == text
+        assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+        for name in fields + ("_succ", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+        assert a == b and repr(a) == text
+    # The paths and the poset an inequality system was built from are not
+    # part of its value.
+    paths = dyck_paths(odd1)
+    system = InequalitySystem("odd", 1, (1,), (row,), paths, odd1)
+    other = InequalitySystem("odd", 1, (1,), (row,), (), odd2)
+    assert system == other and hash(system) == hash(other)
+    assert system.paths == paths and other.poset is odd2
+    assert system != InequalitySystem("odd", 1, (2,), (row,), paths, odd1)
