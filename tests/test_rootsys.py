@@ -288,6 +288,9 @@ def test_value_classes_compare_hash_print_and_refuse_assignment():
         for name in fields + ("_succ", "extra"):
             with pytest.raises(AttributeError):
                 setattr(a, name, 0)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(a, name)
         assert a == b and repr(a) == text
     # The paths and the poset an inequality system was built from are not
     # part of its value.
