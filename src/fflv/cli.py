@@ -10,7 +10,6 @@ for fixed arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -53,6 +52,8 @@ def _int_at_least(least: int):
 
 
 def _dump(data) -> None:
+    import json     # here, so a verb that prints no JSON does not load it
+
     print(json.dumps(data))
 
 

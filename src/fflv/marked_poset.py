@@ -27,15 +27,14 @@ and no point.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import itemgetter
+from operator import index as as_int, itemgetter
 
 from .polytope import (
     Counterexample, frontier_count, order_walk, slack_search, topological_order,
 )
-from .rootsys import RootLabel, build_poset, check_weight, fflv_markings
+from .rootsys import RootLabel, _Frozen, build_poset, check_weight, fflv_markings
 
 
 def _element_name(e) -> str:
@@ -49,32 +48,30 @@ def _element_name(e) -> str:
     return str(e)
 
 
-@dataclass(frozen=True)
-class MarkedPoset:
+class MarkedPoset(_Frozen):
     """Finite poset with integer markings on some elements.
 
     ``elements`` fixes the canonical coordinate order: order points are
     tuples over all elements, chain points are tuples over the unmarked
     elements, both in this order.  As in Ardila-Bliem-Salazar, every
-    minimal and every maximal element must be marked.  The poset is
-    checked and translated once into indices into ``elements``, and the
-    functions of this module run on it.
+    minimal and every maximal element must be marked, and a marking that
+    is not an integer raises `TypeError`.  The poset is checked and
+    translated once into indices into ``elements``, and the functions of
+    this module run on it.
     """
-
-    elements: tuple
-    covers: tuple
-    markings: tuple
 
     # Per element index: its marking (None where unmarked), successor and
     # predecessor indices.  Then the walk plan, over the elements in a
     # canonical-first topological order: per element its walk position, and
     # per walk position its floor, its predecessors' positions and its bound.
-    _marking: tuple = field(init=False, repr=False, compare=False)
-    _succ: tuple = field(init=False, repr=False, compare=False)
-    _pred: tuple = field(init=False, repr=False, compare=False)
-    _plan: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "elements", "covers", "markings", "_marking", "_succ", "_pred", "_plan",
+    )
 
-    def __post_init__(self):
+    def __init__(self, elements: tuple, covers: tuple, markings: tuple) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "markings", markings)
         index = {e: i for i, e in enumerate(self.elements)}
         if len(index) != len(self.elements):
             raise ValueError("duplicate elements")
@@ -84,7 +81,12 @@ class MarkedPoset:
                 raise ValueError(f"marking on unknown element {_element_name(e)}")
             if marking[index[e]] is not None:
                 raise ValueError(f"second marking on element {_element_name(e)}")
-            marking[index[e]] = v
+            try:
+                marking[index[e]] = as_int(v)
+            except TypeError:
+                raise TypeError(
+                    f"marking {v!r} of element {_element_name(e)} is not an integer"
+                ) from None
         succ = [[] for _ in index]
         pred = [[] for _ in index]
         for a, b in self.covers:

@@ -51,7 +51,6 @@ too compares codes.
 from __future__ import annotations
 
 from collections.abc import Mapping, Set
-from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement, starmap
@@ -65,6 +64,7 @@ from .rootsys import (
     RootLabel,
     RootPoset,
     Weight,
+    _Frozen,
     build_poset,
     check_weight,
     dyck_paths,
@@ -77,20 +77,33 @@ class IneqRow(NamedTuple):
     bound: int
 
 
-@dataclass(frozen=True)
-class InequalitySystem:
-    """FFLV defining inequalities for one dominant weight, one row per path."""
+class InequalitySystem(_Frozen):
+    """FFLV defining inequalities for one dominant weight, one row per path.
 
-    family: str
-    n: int
-    weight: tuple[int, ...]
-    rows: tuple[IneqRow, ...]
-    paths: tuple[DyckPath, ...] = field(compare=False, repr=False)
-    poset: RootPoset = field(compare=False, repr=False)
-    # Per row: its support as ascending coordinates (root indices).
-    _row_support_idx: tuple = field(init=False, repr=False, compare=False)
+    Its value is (family, n, weight, rows); the paths and the poset it was
+    built from are not compared or printed.
+    """
 
-    def __post_init__(self) -> None:
+    # _row_support_idx: per row, its support as ascending coordinates
+    # (root indices).
+    __slots__ = ("family", "n", "weight", "rows", "paths", "poset", "_row_support_idx")
+    _compared = ("family", "n", "weight", "rows")
+
+    def __init__(
+        self,
+        family: str,
+        n: int,
+        weight: tuple[int, ...],
+        rows: tuple[IneqRow, ...],
+        paths: tuple[DyckPath, ...],
+        poset: RootPoset,
+    ) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "poset", poset)
         support_idx = tuple(
             tuple(sorted(self.poset.index(lab) for lab in row.support))
             for row in self.rows

@@ -13,7 +13,6 @@ Roots carry eps-coordinates over (eps_1, ..., eps_n, eps_0).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -22,6 +21,46 @@ ODD = "odd"
 
 Weight = tuple[int, ...]        # eps-coordinates (eps_1, ..., eps_n, eps_0)
 LatticePoint = tuple[int, ...]  # one value per root, canonical order
+
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its constructor arguments, then its derived ``_...``
+    fields, in ``__slots__`` and sets them in ``__init__`` through
+    ``object.__setattr__``.  Equality, hash and repr cover the constructor
+    arguments, or the names in ``_compared`` where the subclass sets it;
+    copies and pickles are rebuilt through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        cls._compared = cls.__dict__.get("_compared", cls._fields)
+        # An attrgetter is not bound to the instance: call it as _key(obj).
+        cls._key = operator.attrgetter(*cls._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        args = (f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({', '.join(args)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 def _check_family_rank(family: str, n: int) -> None:
@@ -88,19 +127,22 @@ def _family_labels(family: str, n: int) -> list[list[RootLabel]]:
     return rows
 
 
-@dataclass(frozen=True)
-class RootPoset:
+class RootPoset(_Frozen):
     """Immutable root poset; covers are index pairs into `roots`."""
 
-    family: str
-    n: int
-    roots: tuple[Root, ...]
-    covers: tuple[tuple[int, int], ...]
-    _index: dict = field(init=False, repr=False, compare=False)
-    _succ: tuple = field(init=False, repr=False, compare=False)
-    _pred: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("family", "n", "roots", "covers", "_index", "_succ", "_pred")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        family: str,
+        n: int,
+        roots: tuple[Root, ...],
+        covers: tuple[tuple[int, int], ...],
+    ) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "covers", covers)
         index = {r.label: k for k, r in enumerate(self.roots)}
         succ = [[] for _ in self.roots]
         pred = [[] for _ in self.roots]
@@ -142,7 +184,7 @@ def build_poset(family: str, n: int) -> RootPoset:
     """Root poset of the given family and rank n >= 1.
 
     The arguments are validated before the cache lookup; the poset is
-    frozen, so every caller shares one instance per (family, n).
+    immutable, so every caller shares one instance per (family, n).
     """
     _check_family_rank(family, n)
     return _build_poset(family, n)
@@ -166,13 +208,15 @@ def _build_poset(family: str, n: int) -> RootPoset:
     return RootPoset(family, n, roots, tuple(covers))
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(_Frozen):
     """Saturated chain from a row-initial element to a diagonal or barred end."""
 
-    family: str
-    n: int
-    labels: tuple[RootLabel, ...]
+    __slots__ = ("family", "n", "labels")
+
+    def __init__(self, family: str, n: int, labels: tuple[RootLabel, ...]) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def start(self) -> RootLabel:

@@ -4,7 +4,6 @@ it runs on the oldest supported Python."""
 
 import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -38,6 +37,14 @@ def test_package_is_dependency_free():
         if name not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def test_package_does_not_import_dataclasses():
+    """`dataclasses` pulls `inspect` and `dis` into every cold start; the
+    value classes build on `rootsys._Frozen` instead."""
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if "dataclasses" in absolute_imports(path)]
+    assert importers == []
 
 
 def relative_imports(path: Path) -> set[str]:
@@ -124,13 +131,15 @@ def test_star_import_and_unknown_names():
     assert not hasattr(fflv, "no_such_name")
 
 
-# Run in a fresh interpreter: import the package and the CLI, run one verb,
-# then print the fflv modules loaded.
+# Run in a fresh interpreter: note the modules a bare interpreter has
+# loaded, import the package and the CLI, run one verb, then print the
+# modules loaded since, so that a module `site` loads is never counted.
 COLD_START = """\
-import json, sys
+import sys
+bare = set(sys.modules)
 import fflv, fflv.cli
 fflv.cli.main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "fflv")))
+print(*sorted(set(sys.modules) - bare))
 """
 
 
@@ -142,7 +151,15 @@ def loaded_modules(*argv: str) -> set[str]:
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+# Verbs that print a bare count, not JSON.
+PLAIN_OUTPUT = {
+    "paths --family odd --n 1 --count",
+    "points --family odd --n 2 --weight 1,1 --count",
+    "dim --family odd --n 2 --weight 1,1",
+}
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -151,6 +168,14 @@ def loaded_modules(*argv: str) -> set[str]:
     ("verify minkowski --n 1 --max-coeff 1", {"fflv.polytope"}),
     ("points --family odd --n 2 --weight 1,1 --count", {"fflv.polytope"}),
     ("dim --family odd --n 2 --weight 1,1", {"fflv.polytope"}),
+    ("verify abs --n 1 --max-coeff 1", {"fflv.polytope", "fflv.marked_poset"}),
+    ("char --family odd --n 1 --weight 1", {"fflv.polytope", "fflv.characters"}),
+    ("verify straightening --n 1", {"fflv.polytope", "fflv.straightening"}),
 ])
 def test_cli_loads_only_the_modules_its_verb_calls(argv, extra):
-    assert loaded_modules(*argv.split()) == {"fflv", "fflv.cli", "fflv.rootsys"} | extra
+    loaded = loaded_modules(*argv.split())
+    fflv_modules = {m for m in loaded if m.partition(".")[0] == "fflv"}
+    assert fflv_modules == {"fflv", "fflv.cli", "fflv.rootsys"} | extra
+    assert "dataclasses" not in loaded
+    if argv in PLAIN_OUTPUT:
+        assert "json" not in loaded

@@ -331,6 +331,16 @@ def test_construction_error_messages():
                     (("a", 2), ("b", 1)))
 
 
+@pytest.mark.parametrize("bad", [1.5, "1"])
+@pytest.mark.parametrize("run", [order_points, order_count, chain_points, abs_verify])
+def test_non_integer_marking_is_rejected(run, bad):
+    # With b marked 1.5, order_points once listed x = 2 > 1.5, order_count
+    # returned 2.5 and chain_points never returned.
+    with pytest.raises(TypeError, match=f"^marking {bad!r} of element b is not an integer$"):
+        run(MarkedPoset(("a", "x", "b"), (("a", "x"), ("x", "b")),
+                        (("a", 0), ("b", bad))))
+
+
 def test_poset_serialization():
     poset = fflv_marked_poset("odd", 1, (1,))
     data = poset.to_json()
