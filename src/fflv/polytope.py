@@ -50,18 +50,17 @@ too compares codes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping, Set
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement, starmap
 from operator import add
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .rootsys import (
     DyckPath,
     LatticePoint,
-    RootLabel,
     RootPoset,
     Weight,
     _Frozen,
@@ -72,9 +71,11 @@ from .rootsys import (
 )
 
 
-class IneqRow(NamedTuple):
-    support: frozenset[RootLabel]
-    bound: int
+class IneqRow(namedtuple("IneqRow", "support bound")):
+    """One path inequality: the sum over the support (a frozenset of root
+    labels) is at most bound."""
+
+    __slots__ = ()
 
 
 class InequalitySystem(_Frozen):
@@ -563,9 +564,10 @@ lattice_points.cache_clear = _clear_caches
 lattice_points.cache_info = _walk_points.cache_info
 
 
-class Counterexample(NamedTuple):
-    kind: str
-    point: LatticePoint
+class Counterexample(namedtuple("Counterexample", "kind point")):
+    """A failed check: its kind and the point (or monomial) at fault."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "point": list(self.point)}

@@ -13,8 +13,8 @@ Roots carry eps-coordinates over (eps_1, ..., eps_n, eps_0).
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 EVEN = "even"
 ODD = "odd"
@@ -81,12 +81,10 @@ def check_weight(family: str, n: int, weight) -> tuple[int, ...]:
     return weight
 
 
-class RootLabel(NamedTuple):
+class RootLabel(namedtuple("RootLabel", "row col barred", defaults=(False,))):
     """Poset position (row, col); barred marks the second half of the alphabet."""
 
-    row: int
-    col: int
-    barred: bool = False
+    __slots__ = ()
 
     def col_name(self) -> str:
         return f"{self.col}bar" if self.barred else str(self.col)
@@ -98,9 +96,10 @@ class RootLabel(NamedTuple):
         return {"row": self.row, "col": self.col_name()}
 
 
-class Root(NamedTuple):
-    label: RootLabel
-    eps: tuple[int, ...]
+class Root(namedtuple("Root", "label eps")):
+    """A root's label and its eps-coordinates."""
+
+    __slots__ = ()
 
 
 def _eps_coords(label: RootLabel, n: int) -> tuple[int, ...]:
@@ -290,13 +289,12 @@ def path_bound(path: DyckPath, weight: tuple[int, ...]) -> int:
     return sum(weight[i - 1 :])
 
 
-class Marking(NamedTuple):
-    """A marked element of the FFLV marked poset and the root it is attached to."""
+class Marking(namedtuple("Marking", "element value root below")):
+    """A marked element of the FFLV marked poset and the root it is attached
+    to: element is ("t", i), ("u", j) or ("v", j), and below is True for
+    t_i, which sits below its root."""
 
-    element: tuple      # ("t", i), ("u", j) or ("v", j)
-    value: int
-    root: RootLabel
-    below: bool         # True for t_i, which sits below its root
+    __slots__ = ()
 
 
 def fflv_markings(family: str, n: int, weight: tuple[int, ...]) -> tuple[Marking, ...]:

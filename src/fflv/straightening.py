@@ -10,37 +10,42 @@ realization.  The result is a polynomial whose greatest monomial under the
 order defined here is the violating vector itself; `verify` checks exactly
 that and nothing stronger, since the leading coefficient has no closed form.
 
-What depends only on the rank (labels, row slices, column variables) is
-built once per rank, and what depends only on the path (its support and the
-operator words, each factor with the variables whose exponent sum is its
-power) once per path.  Inside, a monomial is packed into one integer, a byte
-per variable with the first variable most significant, and a derivation
-step is one integer addition.  Derivations keep the total degree, so a
-degree of at most 255 proves that no byte carries; a larger degree raises
-ArithmeticError.  The public methods take and return exponent tuples.
+What depends only on the rank (labels, row slices, column variables, the
+packing constants) is built once per rank, and what depends only on the
+path (the variables off it and the operator words, each factor with the
+variables whose exponent sum is its power) once per path.  Inside, a
+monomial is packed into one integer so that, within one degree, integer
+order is the straightening order: byte k holds exponent k, so the last
+variable is most significant, and above the exponents one byte per row r
+holds 255 minus the row-r sum, row n most significant.  A derivation step
+is one integer addition, and `verify` passes when the packed violating
+vector is the `max` of the straightened polynomial, which has a single
+degree.  Derivations keep the total degree, so a degree of at most 255
+proves that every byte stays in [0, 255] and none carries; a larger degree
+raises ArithmeticError.  The public methods take and return exponent tuples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping
+from collections import namedtuple
 from functools import lru_cache
+from operator import index as as_int, mul
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .polytope import Counterexample
-from .rootsys import RootLabel, RootPoset, build_poset, check_weight
+from .rootsys import RootLabel, build_poset, check_weight
 
-# One byte holds each exponent of a packed monomial.
+# A packed monomial holds each exponent, and 255 minus each row sum, in a byte.
 DEGREE_LIMIT = 255
 
 
-class DerivationId(NamedTuple):
-    """Either subtraction of an even-family positive root or the special
-    derivation (bracket with the matrix unit at the bottom middle)."""
+class DerivationId(namedtuple("DerivationId", "kind root", defaults=(None,))):
+    """Either subtraction of an even-family positive root (kind "root", with
+    the root) or the special derivation (kind "special", root None: bracket
+    with the matrix unit at the bottom middle)."""
 
-    kind: str  # "root" | "special"
-    root: RootLabel | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == "special":
@@ -106,25 +111,21 @@ def _derivation_rules(n: int, op: DerivationId):
     return MappingProxyType(rules)
 
 
-def _place(nvars: int, k: int) -> int:
-    """Packed value of one unit of variable k."""
-    return 1 << 8 * (nvars - 1 - k)
-
-
 @lru_cache(maxsize=1024)
 def _packed_rules(n: int, op: DerivationId) -> tuple[tuple[int, int, int], ...]:
     """op's rules on packed monomials: (source k, shift, coefficient), where
     adding the shift moves one unit from k to the rule's target."""
-    nvars = len(_rank_tables(n).labels)
+    tables = _rank_tables(n)
     return tuple(
-        (k, _place(nvars, tgt) - _place(nvars, k), c)
+        (k, _unit(tables, tgt) - _unit(tables, k), c)
         for k, (tgt, c) in _derivation_rules(n, op).items()
     )
 
 
-def _derive(poly: dict[int, int], factors, nvars: int) -> dict[int, int]:
+def _derive(poly: dict[int, int], factors, width: int) -> dict[int, int]:
     """Apply each (packed rules, power) factor power times, first factor
-    first, to a polynomial of packed monomials of degree <= DEGREE_LIMIT.
+    first, to a polynomial of packed monomials of width bytes and degree
+    <= DEGREE_LIMIT.
 
     One application is the Leibniz rule: variable k with exponent e lowered
     to its target contributes e times the rule's coefficient.
@@ -134,7 +135,7 @@ def _derive(poly: dict[int, int], factors, nvars: int) -> dict[int, int]:
             out: dict[int, int] = {}
             get = out.get
             for mono, coeff in poly.items():
-                digits = mono.to_bytes(nvars, "big")
+                digits = mono.to_bytes(width, "little")
                 for k, shift, c in rules:
                     e = digits[k]
                     if e:
@@ -148,6 +149,15 @@ def _derive(poly: dict[int, int], factors, nvars: int) -> dict[int, int]:
     return poly
 
 
+def _not_integer(s) -> TypeError:
+    """The error for the first entry of s that is not an integer."""
+    for k, x in enumerate(s):
+        try:
+            as_int(x)
+        except TypeError:
+            return TypeError(f"exponent {x!r} at position {k} is not an integer")
+
+
 def _degree_error(degree: int) -> ArithmeticError:
     return ArithmeticError(
         f"total degree {degree} exceeds {DEGREE_LIMIT}, the largest a "
@@ -155,12 +165,17 @@ def _degree_error(degree: int) -> ArithmeticError:
     )
 
 
-class _RankTables(NamedTuple):
-    poset: RootPoset
-    labels: tuple[RootLabel, ...]
-    row_slices: tuple[slice, ...]
-    col_vars: Mapping[tuple[int, bool], tuple[int, ...]]
-    start_var: int  # f_{1,1bar}, whose pure power every straightening starts from
+class _RankTables(namedtuple(
+    "_RankTables", "poset labels row_slices col_vars start_var width empty row_units"
+)):
+    """What depends only on the rank.  start_var is f_{1,1bar}, whose pure
+    power every straightening starts from.  A packed monomial has width
+    bytes: the exponents, byte k for variable k, then one byte per row r
+    holding 255 minus the row-r sum, row n most significant.  empty is the
+    packed monomial 1, every row byte 255; row_units[k] is the change to
+    the row bytes of one more unit of variable k."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=64)
@@ -175,10 +190,19 @@ def _rank_tables(n: int) -> _RankTables:
     col_vars: dict[tuple[int, bool], tuple[int, ...]] = {}
     for k, lab in enumerate(labels):
         col_vars[lab.col, lab.barred] = col_vars.get((lab.col, lab.barred), ()) + (k,)
+    nvars = len(labels)
+    row_place = [1 << 8 * (nvars + i) for i in range(n)]
     return _RankTables(
         poset, labels, row_slices, MappingProxyType(col_vars),
-        poset.index(RootLabel(1, 1, True)),
+        poset.index(RootLabel(1, 1, True)), nvars + n, 255 * sum(row_place),
+        tuple(-row_place[r - 1] for r in rows),
     )
+
+
+def _unit(tables: _RankTables, k: int) -> int:
+    """Packed change of one more unit of variable k: its exponent byte up,
+    its row byte down."""
+    return (1 << 8 * k) + tables.row_units[k]
 
 
 def _root_op(n: int, label: RootLabel) -> DerivationId:
@@ -190,8 +214,8 @@ def _root_op(n: int, label: RootLabel) -> DerivationId:
 @lru_cache(maxsize=4096)
 def _path_plan(n: int, labels: tuple[RootLabel, ...]):
     """The two operator words for vectors on a barred path of rank n, as
-    (support, factors, split).  The support has bit k set for each variable
-    k on the path.  The factors of both words come in application order,
+    (off, factors, split).  off holds the variables not on the path, in
+    order.  The factors of both words come in application order,
     each as (op, packed rules, the variables whose exponent sum is its
     power); factors[:split] is the first word, the rest the second.
 
@@ -239,8 +263,9 @@ def _path_plan(n: int, labels: tuple[RootLabel, ...]):
         (op, _packed_rules(n, op), power_vars)
         for op, power_vars in delta1[::-1] + delta2[::-1]
     )
-    support = sum(1 << poset.index(lab) for lab in labels)
-    return support, factors, len(delta1)
+    on_path = {poset.index(lab) for lab in labels}
+    off = tuple(k for k in index if k not in on_path)
+    return off, factors, len(delta1)
 
 
 class Straightener:
@@ -287,21 +312,31 @@ class Straightener:
         """Action on generators: variable index -> (target index, coefficient)."""
         return _derivation_rules(self.n, op)
 
+    def _pack(self, mono) -> int:
+        """The packed form of an exponent tuple of degree <= DEGREE_LIMIT;
+        bytes() rejects an exponent that is negative or not an integer."""
+        tables = self._tables
+        return int.from_bytes(bytes(mono), "little") + sum(
+            map(mul, mono, tables.row_units), tables.empty
+        )
+
+    def _unpack(self, mono: int) -> tuple[int, ...]:
+        return tuple(mono.to_bytes(self._tables.width, "little")[: self.nvars])
+
     def _run(self, factors, poly: dict) -> dict:
         """_derive on a polynomial of exponent tuples; zero terms are dropped
         first, since _derive deletes a key whose coefficient cancels to 0."""
-        nvars = self.nvars
         packed = {}
         for mono, coeff in poly.items():
             if not coeff:
                 continue
-            if len(mono) != nvars:
+            if len(mono) != self.nvars:
                 raise ValueError("monomial has the wrong shape")
             if sum(mono) > DEGREE_LIMIT:
                 raise _degree_error(sum(mono))
-            packed[int.from_bytes(bytes(mono), "big")] = coeff
-        out = _derive(packed, factors, nvars)
-        return {tuple(mono.to_bytes(nvars, "big")): c for mono, c in out.items()}
+            packed[self._pack(mono)] = coeff
+        out = _derive(packed, factors, self._tables.width)
+        return {self._unpack(mono): c for mono, c in out.items()}
 
     def apply_derivation(self, op: DerivationId, poly: dict) -> dict:
         """One application, extended to products by the Leibniz rule."""
@@ -318,10 +353,16 @@ class Straightener:
         """Validate s and path; return the path's word plan."""
         if path.family != "odd" or path.n != self.n:
             raise ValueError("path belongs to a different poset")
-        if len(s) != self.nvars or any(x < 0 for x in s):
+        if len(s) != self.nvars:
+            raise ValueError("exponent vector has the wrong shape")
+        try:
+            low = min(map(as_int, s))
+        except TypeError:
+            raise _not_integer(s) from None
+        if low < 0:
             raise ValueError("exponent vector has the wrong shape")
         plan = _path_plan(self.n, path.labels)
-        if any(x and not plan[0] >> k & 1 for k, x in enumerate(s)):
+        if any(map(s.__getitem__, plan[0])):
             raise ValueError("exponent vector is not supported on the path")
         return plan
 
@@ -332,14 +373,15 @@ class Straightener:
         with zero exponent are omitted.  The words are those of `_path_plan`.
         """
         _, factors, split = self._check_path_point(s, path)
+        get = s.__getitem__
         words = []
         for word in (factors[:split], factors[split:]):
-            powers = ((op, sum(s[k] for k in ks)) for op, _, ks in reversed(word))
+            powers = ((op, sum(map(get, ks))) for op, _, ks in reversed(word))
             words.append(tuple(factor for factor in powers if factor[1]))
         return tuple(words)
 
-    def straighten(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> dict:
-        """Apply both operator words to the pure power of f_{1,1bar}."""
+    def _straighten_packed(self, weight: tuple[int, ...], s: tuple[int, ...], path):
+        """`straighten` on packed monomials: {packed monomial: coefficient}."""
         _, plan_factors, _ = self._check_path_point(s, path)
         weight = check_weight("odd", self.n, weight)
         sigma = sum(s)
@@ -347,23 +389,30 @@ class Straightener:
             raise ValueError("exponent vector does not violate the path bound")
         if sigma > DEGREE_LIMIT:
             raise _degree_error(sigma)
-        factors = [(rules, sum(s[k] for k in ks)) for _, rules, ks in plan_factors]
-        nvars = self.nvars
-        start = {sigma * _place(nvars, self._tables.start_var): 1}
-        poly = _derive(start, factors, nvars)
-        return {tuple(mono.to_bytes(nvars, "big")): c for mono, c in poly.items()}
+        get = s.__getitem__
+        factors = [(rules, sum(map(get, ks))) for _, rules, ks in plan_factors]
+        tables = self._tables
+        start = tables.empty + sigma * _unit(tables, tables.start_var)
+        return _derive({start: 1}, factors, tables.width)
+
+    def straighten(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> dict:
+        """Apply both operator words to the pure power of f_{1,1bar}."""
+        poly = self._straighten_packed(weight, s, path)
+        return {self._unpack(mono): c for mono, c in poly.items()}
 
     def verify(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> Counterexample | None:
         """Check f^s leads the straightened polynomial.
 
         Passes when s has a nonzero coefficient and every other monomial is
-        strictly smaller in the straightening order.
+        strictly smaller in the straightening order.  All monomials share
+        s's degree, so on packed monomials that is one `max`; a failure
+        names the first monomial in term order that is greater than s.
         """
-        poly = self.straighten(weight, s, path)
-        if not poly.get(s):
+        poly = self._straighten_packed(weight, s, path)
+        lead = self._pack(s)
+        if not poly.get(lead):
             return Counterexample("leading_term_missing", s)
-        lead = self.order_key(s)
-        for t in poly:
-            if t != s and self.order_key(t) > lead:
-                return Counterexample("term_not_smaller", t)
-        return None
+        if max(poly) == lead:
+            return None
+        first_above = next(t for t in poly if t > lead)
+        return Counterexample("term_not_smaller", self._unpack(first_above))

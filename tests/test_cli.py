@@ -257,6 +257,17 @@ def test_verify_straightening(capsys):
     assert payload["instances"] == 9
 
 
+@pytest.mark.parametrize("argv, instances", [
+    ("--n 2 --max-coeff 2", 375),
+    ("--n 3 --max-coeff 1", 2090),
+])
+def test_verify_straightening_output_pinned(capsys, argv, instances):
+    code, out, _ = run(capsys, "verify", "straightening", *argv.split())
+    assert code == 0
+    assert out == (f'{{"target": "straightening", "instances": {instances}, '
+                   '"failures": 0, "status": "pass", "counterexample": null}\n')
+
+
 def test_verify_qchar_reports_failure(capsys):
     code, out, _ = run(capsys, "verify", "qchar", "--n", "2",
                        "--max-coeff", "1")

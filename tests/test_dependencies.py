@@ -47,6 +47,14 @@ def test_package_does_not_import_dataclasses():
     assert importers == []
 
 
+def test_package_does_not_import_typing():
+    """`typing` is the largest import of a cold start after `argparse`; the
+    record classes are `collections.namedtuple` subclasses instead."""
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if "typing" in absolute_imports(path)]
+    assert importers == []
+
+
 def relative_imports(path: Path) -> set[str]:
     """Sibling modules the file imports by ``from . import x`` or ``from .x import``."""
     names = set()
@@ -143,11 +151,11 @@ print(*sorted(set(sys.modules) - bare))
 """
 
 
-def loaded_modules(*argv: str) -> set[str]:
+def loaded_modules(*argv: str, flags: tuple[str, ...] = ()) -> set[str]:
     src = str(Path(fflv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, *argv],
+        [sys.executable, *flags, "-c", COLD_START, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
@@ -177,5 +185,17 @@ def test_cli_loads_only_the_modules_its_verb_calls(argv, extra):
     fflv_modules = {m for m in loaded if m.partition(".")[0] == "fflv"}
     assert fflv_modules == {"fflv", "fflv.cli", "fflv.rootsys"} | extra
     assert "dataclasses" not in loaded
+    assert "typing" not in loaded
     if argv in PLAIN_OUTPUT:
         assert "json" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    "paths --family odd --n 1 --count",
+    "verify straightening --n 1",
+    "verify abs --n 1 --max-coeff 1",
+])
+def test_cli_without_site_loads_no_typing(argv):
+    """A `site` that preloads `typing` hides it from the check above; with
+    `-S` nothing loads it before the package does."""
+    assert "typing" not in loaded_modules(*argv.split(), flags=("-S",))

@@ -391,8 +391,104 @@ def test_verify_failure_kinds(monkeypatch):
         ({s: 0, lower: 2}, Counterexample("leading_term_missing", s)),
         ({s: 2, lower: 2, bigger: 1}, Counterexample("term_not_smaller", bigger)),
     ]:
-        monkeypatch.setattr(eng, "straighten", lambda *args, poly=poly: poly)
+        packed = {eng._pack(t): c for t, c in poly.items()}
+        monkeypatch.setattr(eng, "_straighten_packed", lambda *args, packed=packed: packed)
         assert eng.verify((1, 0), s, pb) == failure
+
+
+def reference_verify(eng, s, poly):
+    """verify on a polynomial of exponent tuples through order_key: the
+    first term in iteration order that is not smaller than s fails."""
+    if not poly.get(s):
+        return Counterexample("leading_term_missing", s)
+    lead = eng.order_key(s)
+    for t in poly:
+        if t != s and eng.order_key(t) > lead:
+            return Counterexample("term_not_smaller", t)
+    return None
+
+
+def random_monomial(rng, nvars, degree):
+    vec = [0] * nvars
+    for _ in range(degree):
+        vec[rng.randrange(nvars)] += 1
+    return tuple(vec)
+
+
+def test_pack_order_is_the_straightening_order():
+    rng = random.Random(31)
+    for n in range(1, 5):
+        eng = Straightener(n)
+        pairs = []
+        for _ in range(400):
+            s = random_monomial(rng, eng.nvars, rng.randint(0, 12))
+            # Mostly near-ties, so the row-sum and variable rules decide often.
+            t = rng.choice([random_monomial(rng, eng.nvars, sum(s)),
+                            tuple(rng.sample(s, len(s)))])
+            pairs.append((s, t))
+        # Degree 255 all in one row leaves that row's byte at 0.
+        for sl in _rank_tables(n).row_slices:
+            row = range(eng.nvars)[sl]
+            full = [0] * eng.nvars
+            full[row[0]] = 255
+            split = [0] * eng.nvars
+            split[row[-1]], split[row[0]] = 200, 55
+            pairs += [(tuple(full), tuple(split)),
+                      (tuple(full), random_monomial(rng, eng.nvars, 255)),
+                      (tuple(full), tuple(full))]
+        for s, t in pairs:
+            ps, pt = eng._pack(s), eng._pack(t)
+            assert eng._unpack(ps) == s and eng._unpack(pt) == t
+            assert (ps < pt) == (eng.order_key(s) < eng.order_key(t))
+            assert (ps == pt) == (s == t)
+
+
+def test_verify_matches_reference_verify(monkeypatch):
+    cases = [(Straightener(n), case) for n in (1, 2, 3) for case in straightening_sweep(n, 2)]
+    eng4 = Straightener(4)
+    paths4 = [p for p in dyck_paths(eng4.poset) if p.start == L(1, 1) and p.end.barred]
+    rng = random.Random(2024)
+    cases += [(eng4, random_violating_vector(rng, eng4, paths4, k % 9)) for k in range(200)]
+    assert len(cases) == 9 + 375 + 17150 + 200
+    doctored = []
+    for k, (eng, (weight, s, path)) in enumerate(cases):
+        poly = eng.straighten(weight, s, path)
+        assert eng.verify(weight, s, path) == reference_verify(eng, s, poly)
+        if k % 25 == 0:
+            # A same-degree term of any order, then s dropped or zeroed.
+            bad = dict(poly)
+            bad[tuple(rng.sample(s, len(s)))] = rng.choice((1, -1))
+            drop = rng.random()
+            if drop < 0.15:
+                bad.pop(s, None)
+            elif drop < 0.3:
+                bad[s] = 0
+            doctored.append((eng, weight, s, path, bad))
+    for eng, weight, s, path, bad in doctored:
+        packed = {eng._pack(t): c for t, c in bad.items()}
+        monkeypatch.setattr(eng, "_straighten_packed", lambda *args, packed=packed: packed)
+        assert eng.verify(weight, s, path) == reference_verify(eng, s, bad)
+        monkeypatch.undo()
+    kinds = {getattr(reference_verify(eng, s, bad), "kind", None)
+             for eng, _, s, _, bad in doctored}
+    assert kinds == {None, "leading_term_missing", "term_not_smaller"}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+@pytest.mark.parametrize("pos", [1, 5])
+def test_non_integer_exponents_are_rejected(bad, pos):
+    # A float or string exponent once raised an unrelated TypeError or
+    # AttributeError, and build_delta_ops returned powers of 1.5.
+    eng = Straightener(2)
+    pb = paths_by_labels(eng)[(L(1, 1), L(1, 2), L(1, 2, True), L(2, 2, True))]
+    vec = [0, 1, 1, 0, 0, 0]
+    vec[pos] = bad
+    message = f"^exponent {re.escape(repr(bad))} at position {pos} is not an integer$"
+    for call in (eng.straighten, eng.verify):
+        with pytest.raises(TypeError, match=message):
+            call((1, 0), tuple(vec), pb)
+    with pytest.raises(TypeError, match=message):
+        eng.build_delta_ops(tuple(vec), pb)
 
 
 def test_verify_lower_order_terms_are_smaller():
