@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, tee
 
 from .rootsys import RootLabel, build_poset, dyck_paths
 
@@ -228,11 +228,9 @@ def _outcome(keys: dict, failure) -> dict | None:
 def minkowski_cases(family: str, n: int, max_coeff: int):
     from . import polytope
 
-    for lam, mu in combinations_with_replacement(_all_weights(n, max_coeff), 2):
-        yield _outcome(
-            {"family": family, "lambda": list(lam), "mu": list(mu)},
-            polytope.minkowski_verify(family, n, lam, mu),
-        )
+    pairs = list(combinations_with_replacement(_all_weights(n, max_coeff), 2))
+    for (lam, mu), failure in zip(pairs, polytope.minkowski_sweep(family, n, pairs)):
+        yield _outcome({"family": family, "lambda": list(lam), "mu": list(mu)}, failure)
 
 
 def abs_cases(family: str, n: int, max_coeff: int):
@@ -290,18 +288,22 @@ def straightening_cases(n: int, max_coeff: int):
         for p in dyck_paths(engine.poset)
         if p.start == RootLabel(1, 1, False) and p.end.barred
     ]
-    # Straightener.verify reads the weight only through its total.
-    for bound in range(n * max_coeff + 1):
-        weight = (bound,) + (0,) * (n - 1)
-        for path in paths:
-            for s in _violating_vectors(engine, path, bound + 1):
-                failure = engine.verify(weight, s, path)
-                yield None if failure is None else {
-                    "path": [str(lab) for lab in path.labels],
-                    "s": list(s),
-                    "kind": failure.kind,
-                    "term": list(failure.point),
-                }
+    # Straightener.verify reads the weight only through its total.  The
+    # degree rises with the bound, so verify_many holds one degree's
+    # prefixes at a time; tee hands each case to it and to the report.
+    cases, shown = tee(
+        ((bound,) + (0,) * (n - 1), s, path)
+        for bound in range(n * max_coeff + 1)
+        for path in paths
+        for s in _violating_vectors(engine, path, bound + 1)
+    )
+    for (_, s, path), failure in zip(shown, engine.verify_many(cases)):
+        yield None if failure is None else {
+            "path": [str(lab) for lab in path.labels],
+            "s": list(s),
+            "kind": failure.kind,
+            "term": list(failure.point),
+        }
 
 
 def _cmd_verify(args) -> int:
@@ -324,6 +326,15 @@ def _cmd_verify(args) -> int:
     elif target == "qchar":
         cases = qchar_cases(n, max_coeff)
     else:
+        from .straightening import DEGREE_LIMIT
+
+        # The sweep's last vectors have degree n * max_coeff + 1: refuse it
+        # before the first instance rather than fail there.
+        if n * max_coeff + 1 > DEGREE_LIMIT:
+            raise ValueError(
+                f"verify straightening needs n * max_coeff + 1 <= {DEGREE_LIMIT}, "
+                f"the straightening degree limit; got {n * max_coeff + 1}"
+            )
         cases = straightening_cases(n, max_coeff)
     return _summary(target, *first_failure(cases))
 

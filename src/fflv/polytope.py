@@ -36,13 +36,17 @@ the {packed key: count} map undecoded.  Characters read it through
 on each call; `lattice_points` is their oracle, and Ehrhart counts stay on
 the walk.  `plain_count` and `marked_poset.order_count` run the DP plain.
 
-`minkowski_verify` checks P(lam) + P(mu) = P(lam + mu) on integer codes:
-each point is read as a mixed-radix number whose radix exceeds every
-coordinate of P(lam + mu), so a sum of points is one integer addition and
-the sumset is a set of ints.  P(lam) and P(mu) come from the walk;
-P(lam + mu) comes from `frontier_count` with place values as steps, whose
-keys are the codes themselves, so the two sides are independent engines.
-The radix bound is proved on the plan of lam + mu before the DP runs.
+`minkowski_sweep` checks P(lam) + P(mu) = P(lam + mu) over a list of
+pairs on integer codes: each point is read as a mixed-radix number whose
+radix, one for the sweep, exceeds every coordinate of every P(lam + mu),
+so a sum of points is one integer addition and the sumset is a set of
+ints.  P(lam) and P(mu) come from the walk; P(lam + mu) comes from
+`frontier_count` with place values as steps, whose keys are the codes
+themselves, so the two sides are independent engines.  The bound on the
+coordinates of P(lam + mu) is proved on its plan before the DP runs.  A
+sweep encodes each weight once and runs the DP once per distinct sum,
+and keeps none of it past the call; `minkowski_verify` is the sweep over
+one pair.
 `slice_verify` pairs the same two engines, the walk for the odd points and
 DP codes for the even slice, so neither side builds a Dyck path, and it
 too compares codes.
@@ -50,7 +54,7 @@ too compares codes.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Mapping, Set
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -628,39 +632,95 @@ def _point_codes(family: str, n: int, weight: tuple[int, ...], radix: int, cut=(
     return frontier_count(floor, preds, up, places).keys()
 
 
-def minkowski_verify(
-    family: str, n: int, lam: tuple[int, ...], mu: tuple[int, ...]
-) -> Counterexample | None:
-    """Check FFLV(lam) + FFLV(mu) = FFLV(lam + mu) on lattice points.
+class _Shared:
+    """Values that a sweep's instances share: make(key) runs on a key's
+    first take, and the value is dropped after the last of the takes
+    counted up front in keys, so it lives no longer than it is needed."""
 
-    Returns None on success, otherwise the lexicographically first missing
-    or extra point.  Points are compared as mixed-radix integers with radix
-    r = |lam| + |mu| + 1, the first coordinate most significant.  Every
-    coordinate of FFLV(lam) is at most |lam| (a v-marking minus a t-marking),
-    so p + q has all digits below r: integer addition is coordinate-wise
-    addition with no carry, and integer order is lexicographic order.
+    def __init__(self, make, keys) -> None:
+        self.make = make
+        self.uses = Counter(keys)
+        self.values = {}
+
+    def take(self, key):
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = self.make(key)
+        self.uses[key] -= 1
+        if not self.uses[key]:
+            del self.values[key]
+        return value
+
+
+def minkowski_sweep(family: str, n: int, pairs):
+    """Check FFLV(lam) + FFLV(mu) = FFLV(lam + mu) for each (lam, mu) in
+    pairs, yielding None or the pair's `Counterexample` in pair order.
+
+    Each result is the lexicographically first missing or extra point.
+    Points are compared as mixed-radix integers with one radix r for the
+    whole sweep, the largest |lam| + |mu| plus 1, the first coordinate most
+    significant.  Every coordinate of FFLV(lam) is at most |lam| (a
+    v-marking minus a t-marking), so p + q has all digits below r: integer
+    addition is coordinate-wise addition with no carry, and integer order
+    is lexicographic order, whatever r above the largest digit is picked.
 
     The two sides come from different engines: P(lam) and P(mu) from the
     walk (`lattice_points`), encoded and summed, and P(lam + mu) straight
     as codes from the frontier DP (`_point_codes`), so a fault in one is
     not cancelled by the same fault in the other.  A coordinate above |lam|
     or |mu| in its walked polytope, or a plan of lam + mu whose chain
-    coordinates could exceed |lam| + |mu|, raises ArithmeticError, since
-    the codes would then no longer add without carry.
+    coordinates could exceed |lam| + |mu|, raises ArithmeticError at the
+    first pair that reads it, since the codes would then no longer be
+    proved to add without carry.
+
+    What pairs share is computed once per call: each weight is encoded on
+    its first use, and P(lam + mu) once per distinct sum, and each is
+    dropped after the last pair that reads it.  Nothing outlives the call.
+    All pairs are validated before the first result.
     """
-    lam = check_weight(family, n, lam)
-    mu = check_weight(family, n, mu)
-    radix = sum(lam) + sum(mu) + 1
-    a = _encode(lattice_points(family, n, lam), radix, sum(lam))
-    if lam == mu:   # addition commutes: each unordered pair once
-        sumset = set(starmap(add, combinations_with_replacement(a, 2)))
-    else:
-        b = _encode(lattice_points(family, n, mu), radix, sum(mu))
-        sumset = {x + y for x in a for y in b}
-    lam_mu = tuple(x + y for x, y in zip(lam, mu))
-    total = _point_codes(family, n, lam_mu, radix)
+    pairs = [(check_weight(family, n, lam), check_weight(family, n, mu))
+             for lam, mu in pairs]
+    radix = max((sum(lam) + sum(mu) for lam, mu in pairs), default=0) + 1
+    sums = [tuple(map(add, lam, mu)) for lam, mu in pairs]
     length = len(build_poset(family, n).roots)
-    return _compare(sumset, total, lambda code: _decode(code, radix, length))
+
+    def encode(weight):
+        return _encode(lattice_points(family, n, weight), radix, sum(weight))
+
+    def dp_codes(lam_mu):
+        _, floor, _, up = _walk_plan(family, n, lam_mu)
+        _check_chain_range(floor, up, sum(lam_mu))
+        return _point_codes(family, n, lam_mu, radix)
+
+    codes = _Shared(encode, (w for pair in pairs for w in set(pair)))
+    totals = _Shared(dp_codes, sums)
+
+    # A function, so that a pair's sets are freed before the next pair's.
+    def check(lam, mu, lam_mu):
+        a = codes.take(lam)
+        if lam == mu:   # addition commutes: each unordered pair once
+            sumset = set(starmap(add, combinations_with_replacement(a, 2)))
+        else:
+            b = codes.take(mu)
+            sumset = {x + y for x in a for y in b}
+        total = totals.take(lam_mu)
+        return _compare(sumset, total, lambda code: _decode(code, radix, length))
+
+    for (lam, mu), lam_mu in zip(pairs, sums):
+        yield check(lam, mu, lam_mu)
+
+
+def minkowski_verify(
+    family: str, n: int, lam: tuple[int, ...], mu: tuple[int, ...]
+) -> Counterexample | None:
+    """Check FFLV(lam) + FFLV(mu) = FFLV(lam + mu) on lattice points:
+    `minkowski_sweep` over the one pair, so its radix is |lam| + |mu| + 1.
+
+    Returns None on success, otherwise the lexicographically first missing
+    or extra point.
+    """
+    (result,) = minkowski_sweep(family, n, [(lam, mu)])
+    return result
 
 
 def slice_verify(n: int, lam: tuple[int, ...]) -> Counterexample | None:

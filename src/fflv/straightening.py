@@ -23,6 +23,12 @@ vector is the `max` of the straightened polynomial, which has a single
 degree.  Derivations keep the total degree, so a degree of at most 255
 proves that every byte stays in [0, 255] and none carries; a larger degree
 raises ArithmeticError.  The public methods take and return exponent tuples.
+
+`verify_many` verifies a batch of vectors and shares what they share: the
+operator words depend only on the row of the path's end, so vectors of one
+degree on paths ending in one row share every prefix of factor powers, and
+each prefix is derived once, in a trie that holds one degree at a time and
+does not outlive the call.
 """
 
 from __future__ import annotations
@@ -380,8 +386,9 @@ class Straightener:
             words.append(tuple(factor for factor in powers if factor[1]))
         return tuple(words)
 
-    def _straighten_packed(self, weight: tuple[int, ...], s: tuple[int, ...], path):
-        """`straighten` on packed monomials: {packed monomial: coefficient}."""
+    def _checked_factors(self, weight: tuple[int, ...], s: tuple[int, ...], path):
+        """Validate a straightening case; return its degree and its
+        (packed rules, power) factors in application order."""
         _, plan_factors, _ = self._check_path_point(s, path)
         weight = check_weight("odd", self.n, weight)
         sigma = sum(s)
@@ -390,15 +397,34 @@ class Straightener:
         if sigma > DEGREE_LIMIT:
             raise _degree_error(sigma)
         get = s.__getitem__
-        factors = [(rules, sum(map(get, ks))) for _, rules, ks in plan_factors]
+        return sigma, [(rules, sum(map(get, ks))) for _, rules, ks in plan_factors]
+
+    def _start(self, sigma: int) -> int:
+        """The packed pure power f_{1,1bar}^sigma."""
         tables = self._tables
-        start = tables.empty + sigma * _unit(tables, tables.start_var)
-        return _derive({start: 1}, factors, tables.width)
+        return tables.empty + sigma * _unit(tables, tables.start_var)
+
+    def _straighten_packed(self, weight: tuple[int, ...], s: tuple[int, ...], path):
+        """`straighten` on packed monomials: {packed monomial: coefficient}."""
+        sigma, factors = self._checked_factors(weight, s, path)
+        return _derive({self._start(sigma): 1}, factors, self._tables.width)
 
     def straighten(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> dict:
         """Apply both operator words to the pure power of f_{1,1bar}."""
         poly = self._straighten_packed(weight, s, path)
         return {self._unpack(mono): c for mono, c in poly.items()}
+
+    def _check_lead(self, poly: dict[int, int], s: tuple[int, ...]) -> Counterexample | None:
+        """None when f^s leads the packed polynomial poly, of s's degree,
+        else the failure: a missing or zero lead, or the first term in term
+        order that is greater than s."""
+        lead = self._pack(s)
+        if not poly.get(lead):
+            return Counterexample("leading_term_missing", s)
+        if max(poly) == lead:
+            return None
+        first_above = next(t for t in poly if t > lead)
+        return Counterexample("term_not_smaller", self._unpack(first_above))
 
     def verify(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> Counterexample | None:
         """Check f^s leads the straightened polynomial.
@@ -408,11 +434,35 @@ class Straightener:
         s's degree, so on packed monomials that is one `max`; a failure
         names the first monomial in term order that is greater than s.
         """
-        poly = self._straighten_packed(weight, s, path)
-        lead = self._pack(s)
-        if not poly.get(lead):
-            return Counterexample("leading_term_missing", s)
-        if max(poly) == lead:
-            return None
-        first_above = next(t for t in poly if t > lead)
-        return Counterexample("term_not_smaller", self._unpack(first_above))
+        return self._check_lead(self._straighten_packed(weight, s, path), s)
+
+    def verify_many(self, cases):
+        """`verify` for each (weight, s, path) in cases, yielding its result
+        in case order.
+
+        Every case is validated as `verify` validates it.  The operator
+        words depend only on the row of the path's end, so cases of one
+        degree on paths ending in one row share every prefix of factor
+        powers: derivations run factor by factor through a trie rooted at
+        that row and keyed, level by level, by the power of the factor, and
+        each polynomial in it is derived once.  A power of 0 keeps its
+        parent's polynomial.  The trie holds one degree at a time and is
+        dropped when the degree changes, so cases sorted by degree share
+        the most; nothing outlives the call.
+        """
+        width = self._tables.width
+        trie_sigma, roots = None, {}
+        for weight, s, path in cases:
+            sigma, factors = self._checked_factors(weight, s, path)
+            if sigma != trie_sigma:
+                trie_sigma, roots = sigma, {}
+            row = path.labels[-1].row
+            node = roots.get(row)
+            if node is None:
+                node = roots[row] = ({self._start(sigma): 1}, {})
+            for factor in factors:
+                poly, children = node
+                node = children.get(factor[1])
+                if node is None:
+                    node = children[factor[1]] = (_derive(poly, (factor,), width), {})
+            yield self._check_lead(node[0], s)

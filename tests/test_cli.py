@@ -302,7 +302,7 @@ def failing_at(k, failure):
     "checker, argv, k, failure, line",
     [
         (
-            "fflv.polytope.minkowski_verify",
+            "fflv.polytope._compare",
             ["minkowski", "--family", "even", "--n", "2", "--max-coeff", "1"],
             3, Counterexample("missing", (1, 0, 2)),
             '{"target": "minkowski", "instances": 3, "failures": 1, '
@@ -328,7 +328,7 @@ def failing_at(k, failure):
             '"kind": "extra", "point": [0, 1, 0, 0, 0, 0]}}',
         ),
         (
-            "fflv.straightening.Straightener.verify",
+            "fflv.straightening.Straightener._check_lead",
             ["straightening", "--n", "2", "--max-coeff", "1"],
             7, Counterexample("term_not_smaller", (0, 0, 1, 0, 0, 1)),
             '{"target": "straightening", "instances": 7, "failures": 1, '
@@ -447,6 +447,30 @@ def test_verify_rejects_an_ignored_family(capsys):
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+
+
+def test_verify_straightening_refuses_degrees_past_the_limit(capsys, monkeypatch):
+    # The last vectors of the sweep have degree n * max_coeff + 1; past 255
+    # the sweep once ran every lower bound and then died with a traceback.
+    # Now it is a usage error before any instance runs.
+    def no_instance(*args):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr("fflv.straightening.Straightener._checked_factors", no_instance)
+    for n, max_coeff in ((1, 255), (3, 85), (2, 300)):
+        code, out, err = run(capsys, "verify", "straightening", "--n", str(n),
+                             "--max-coeff", str(max_coeff))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "255" in err
+        assert str(n * max_coeff + 1) in err
+    # Degree 255 itself is allowed: the sweep starts.
+    monkeypatch.setattr(cli, "straightening_cases", lambda n, max_coeff: iter([None]))
+    for n, max_coeff in ((1, 254), (2, 127)):
+        code, out, _ = run(capsys, "verify", "straightening", "--n", str(n),
+                           "--max-coeff", str(max_coeff))
+        assert code == 0
+        assert json.loads(out)["instances"] == 1
 
 def test_library_errors_exit_2(capsys):
     code, _, err = run(capsys, "points", "--family", "odd", "--n", "2",

@@ -4,14 +4,14 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from operator import mul
+from itertools import combinations_with_replacement, product
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflv import polytope, rootsys
+from fflv import cli, polytope, rootsys
 from fflv.characters import dim, qchar_polytope, qdim
 from fflv.marked_poset import fflv_marked_poset
 from fflv.polytope import (
@@ -654,6 +654,107 @@ def test_minkowski_walks_lam_and_mu_only(monkeypatch):
     assert minkowski_verify("odd", 2, (1, 0), (0, 1)) is None
     assert sorted(calls) == [(0, 1), (1, 0)]
     assert polytope._walk_points.cache_info().currsize == 2
+
+
+ACCEPTANCE_4_BOXES = [(family, n, mc) for family in ("odd", "even")
+                      for n, mc in ((1, 2), (2, 2), (3, 1))]
+
+
+def box_pairs(n, max_coeff):
+    return list(combinations_with_replacement(product(range(max_coeff + 1), repeat=n), 2))
+
+
+def test_minkowski_sweep_matches_per_pair_checks():
+    # One radix, shared encodings and one P(lam + mu) per sum give the
+    # per-pair results, in pair order.  The tuple reference skips the 10 odd
+    # rank-3 pairs with |lam|, |mu| >= 2: they alone take it about 5 s.
+    for family, n, mc in ACCEPTANCE_4_BOXES:
+        pairs = box_pairs(n, mc)
+        swept = list(polytope.minkowski_sweep(family, n, pairs))
+        assert len(swept) == len(pairs)
+        assert swept == [minkowski_verify(family, n, lam, mu) for lam, mu in pairs]
+        for (lam, mu), got in zip(pairs, swept):
+            if family == "even" or n < 3 or min(sum(lam), sum(mu)) <= 1:
+                assert got == tuple_sumset_verify(family, n, lam, mu)
+    assert list(polytope.minkowski_sweep("odd", 2, [])) == []
+
+
+def test_minkowski_sweep_reports_the_per_pair_first_failure(monkeypatch):
+    # Dropping each point of P(1, 1) in turn: (1, 1) is a lam, a mu and a
+    # sum of the box's pairs.  Dropped from the walk alone, the first
+    # failure is a missing point; dropped from the DP too, an extra one.
+    # Codes in ascending order are points in lexicographic order, whatever
+    # the radix, so both drops remove the same point.
+    pairs = box_pairs(2, 1)
+    points = lattice_points("odd", 2, (1, 1))
+    kinds = set()
+    for k, from_dp in product(range(len(points)), (False, True)):
+        with monkeypatch.context() as m:
+            patch_points(m, (1, 1), lambda pts: pts[:k] + pts[k + 1:])
+            if from_dp:
+                patch_codes(m, (1, 1), lambda codes: codes[:k] + codes[k + 1:])
+            swept = list(polytope.minkowski_sweep("odd", 2, pairs))
+            assert swept == [minkowski_verify("odd", 2, *pair) for pair in pairs]
+            if from_dp:
+                assert swept == [tuple_sumset_verify("odd", 2, *pair) for pair in pairs]
+            count, failure = cli.first_failure(cli.minkowski_cases("odd", 2, 1))
+        first = next(i for i, got in enumerate(swept) if got is not None)
+        lam, mu = pairs[first]
+        assert count == first + 1
+        assert failure == {"family": "odd", "lambda": list(lam), "mu": list(mu),
+                           **swept[first].to_json()}
+        kinds.add(swept[first].kind)
+    assert kinds == {"missing", "extra"}
+
+
+def test_minkowski_sweep_runs_the_dp_once_per_sum(monkeypatch, capsys):
+    # 36 pairs, 27 distinct sums; a second call recomputes every sum, so no
+    # state survives a call.
+    calls = []
+    real = polytope._point_codes
+
+    def spy(family, n, weight, radix):
+        calls.append(weight)
+        return real(family, n, weight, radix)
+
+    monkeypatch.setattr(polytope, "_point_codes", spy)
+    argv = ["verify", "minkowski", "--family", "even", "--n", "3", "--max-coeff", "1"]
+    sums = {tuple(map(add, lam, mu)) for lam, mu in box_pairs(3, 1)}
+    assert len(sums) == 27
+    for rounds in (1, 2):
+        assert cli.main(argv) == 0
+        assert '"instances": 36' in capsys.readouterr().out
+        assert len(calls) == 27 * rounds
+        assert set(calls[27 * (rounds - 1):]) == sums
+
+
+def test_minkowski_sweep_bounds_each_sum_by_its_own_size(monkeypatch):
+    # The pair ((3,), (3,)) sets the sweep's radix to 7, but the chain
+    # coordinates of P(1 + 2) must still be proved at most 3: a plan that
+    # lets one reach 5 raises at the first pair.
+    plan = polytope._walk_plan
+
+    def widened(family, n, weight):
+        poset, floor, preds, up = plan(family, n, weight)
+        if weight == (3,):
+            up = [floor[0] + 5] + up[1:]
+        return poset, floor, preds, up
+
+    sweep = polytope.minkowski_sweep("odd", 1, [((1,), (2,)), ((3,), (3,))])
+    lattice_points.cache_clear()
+    try:
+        monkeypatch.setattr(polytope, "_walk_plan", widened)
+        with pytest.raises(ArithmeticError, match="can exceed 3;"):
+            next(sweep)
+    finally:
+        monkeypatch.undo()
+        lattice_points.cache_clear()
+
+
+def test_minkowski_sweep_validates_every_pair_first():
+    sweep = polytope.minkowski_sweep("odd", 1, [((1,), (2,)), ((1,), (-1,))])
+    with pytest.raises(ValueError):
+        next(sweep)
 
 
 def test_point_codes_match_encoded_walk():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fflv import straightening
 from fflv.polytope import Counterexample
 from fflv.rootsys import DyckPath, RootLabel, build_poset, dyck_paths, wt_deg
 from fflv.straightening import DerivationId, Straightener, _rank_tables
@@ -719,3 +720,85 @@ def test_tables_and_plans_are_shared():
     for path in paths:
         s = single(a, path.end)
         assert a._check_path_point(s, path) is b._check_path_point(s, path)
+
+
+def reference_cases():
+    """(engine, cases): every vector `straightening_sweep(n, 2)` visits for
+    n <= 3, and 200 seeded rank-4 vectors whose degree goes up and down."""
+    groups = [(Straightener(n), list(straightening_sweep(n, 2))) for n in (1, 2, 3)]
+    eng4 = Straightener(4)
+    paths4 = [p for p in dyck_paths(eng4.poset) if p.start == L(1, 1) and p.end.barred]
+    rng = random.Random(2024)
+    groups.append((eng4, [random_violating_vector(rng, eng4, paths4, k % 9)
+                          for k in range(200)]))
+    return groups
+
+
+def test_verify_many_matches_verify():
+    groups = reference_cases()
+    assert sum(len(cases) for _, cases in groups) == 17734
+    for eng, cases in groups:
+        assert list(eng.verify_many(cases)) == [eng.verify(*case) for case in cases]
+
+
+def test_verify_many_matches_verify_in_any_degree_order():
+    # Shuffled, the degree goes down as well as up, so the prefix trie is
+    # dropped and rebuilt many times; equal degrees also come apart.
+    eng = Straightener(3)
+    cases = list(straightening_sweep(3, 1))
+    random.Random(7).shuffle(cases)
+    degrees = [sum(s) for _, s, _ in cases]
+    assert any(a > b for a, b in zip(degrees, degrees[1:]))
+    assert list(eng.verify_many(cases)) == [eng.verify(*case) for case in cases]
+    assert list(eng.verify_many(cases[::-1])) == [eng.verify(*case) for case in cases[::-1]]
+    assert list(eng.verify_many([])) == []
+
+
+def test_verify_many_matches_verify_on_doctored_rules(monkeypatch):
+    # A rule coefficient alone changed to -1, 2 or 3 times its value makes no
+    # case fail: the lead never cancels and no greater term appears.  So the
+    # first rule of d(1,1) here moves its unit to variable 2 instead, which
+    # reaches both failure kinds.  Operator words are cached per path, so
+    # the cache is cleared on both sides of the doctored run.
+    real = straightening._packed_rules
+    eng = Straightener(2)
+    tables = _rank_tables(2)
+    op = eng.root_derivation(L(1, 1))
+
+    def doctored(n, rule_op):
+        rules = real(n, rule_op)
+        if rule_op != op:
+            return rules
+        (k, _, c), *rest = rules
+        return ((k, straightening._unit(tables, 2) - straightening._unit(tables, k), c),
+                *rest)
+
+    cases = list(straightening_sweep(2, 2))
+    straightening._path_plan.cache_clear()
+    try:
+        monkeypatch.setattr(straightening, "_packed_rules", doctored)
+        batched = list(eng.verify_many(cases))
+        single = [eng.verify(*case) for case in cases]
+    finally:
+        monkeypatch.undo()
+        straightening._path_plan.cache_clear()
+    assert batched == single
+    firsts = {}
+    for (_, s, _), failure in zip(cases, batched):
+        if failure is not None:
+            firsts.setdefault(failure.kind, (s, failure))
+    assert set(firsts) == {"leading_term_missing", "term_not_smaller"}
+    assert list(eng.verify_many(cases)) == [None] * len(cases)
+
+
+def test_verify_many_validates_every_case():
+    eng = Straightener(1)
+    path = paths_by_labels(eng)[(L(1, 1), L(1, 1, True))]
+    good = ((0,), (1, 0), path)
+    for bad, error in ((((1,), (1, 0), path), ValueError),
+                       (((0,), (1, 0, 0), path), ValueError),
+                       (((254,), (100, 156), path), ArithmeticError)):
+        results = eng.verify_many([good, bad])
+        assert next(results) is None
+        with pytest.raises(error):
+            next(results)
