@@ -339,28 +339,6 @@ def _cmd_verify(args) -> int:
     return _summary(target, *first_failure(cases))
 
 
-def _add_family(parser, default="odd"):
-    parser.add_argument(
-        "--family",
-        choices=("odd", "even"),
-        default=default,
-        help="root-system family (default %(default)s)",
-    )
-
-
-def _add_n(parser):
-    parser.add_argument("--n", type=_int_at_least(1), required=True, help="rank")
-
-
-def _add_weight(parser):
-    parser.add_argument(
-        "--weight",
-        type=_weight_arg,
-        required=True,
-        help="fundamental coordinates m_1,...,m_n (comma-separated)",
-    )
-
-
 def _add_sweep_bounds(parser, max_k_help="largest k"):
     # A sweep over an empty range would check nothing and still pass.
     parser.add_argument(
@@ -395,39 +373,43 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lattice polytopes and characters of the symplectic families",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # The arguments most verbs share, added to a verb by parents=.
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument(
+        "--family",
+        choices=("odd", "even"),
+        default="odd",
+        help="root-system family (default %(default)s)",
+    )
+    rank = argparse.ArgumentParser(add_help=False, parents=[family])
+    rank.add_argument("--n", type=_int_at_least(1), required=True, help="rank")
+    weight = argparse.ArgumentParser(add_help=False, parents=[rank])
+    weight.add_argument(
+        "--weight",
+        type=_weight_arg,
+        required=True,
+        help="fundamental coordinates m_1,...,m_n (comma-separated)",
+    )
 
-    p = sub.add_parser("poset", help="print the root poset")
-    _add_family(p)
-    _add_n(p)
+    p = sub.add_parser("poset", parents=[rank], help="print the root poset")
     _add_format(p)
     p.set_defaults(func=_cmd_poset)
 
-    p = sub.add_parser("paths", help="list the Dyck paths")
-    _add_family(p)
-    _add_n(p)
+    p = sub.add_parser("paths", parents=[rank], help="list the Dyck paths")
     _add_format(p)
     p.add_argument("--count", action="store_true", help="print only the number")
     p.set_defaults(func=_cmd_paths)
 
-    p = sub.add_parser("ineq", help="print the inequality system")
-    _add_family(p)
-    _add_n(p)
-    _add_weight(p)
+    p = sub.add_parser("ineq", parents=[weight], help="print the inequality system")
     _add_format(p)
     p.set_defaults(func=_cmd_ineq)
 
-    p = sub.add_parser("points", help="enumerate lattice points")
-    _add_family(p)
-    _add_n(p)
-    _add_weight(p)
+    p = sub.add_parser("points", parents=[weight], help="enumerate lattice points")
     _add_format(p, choices=("json", "csv"))
     p.add_argument("--count", action="store_true", help="print only the number")
     p.set_defaults(func=_cmd_points)
 
-    p = sub.add_parser("char", help="print the graded character")
-    _add_family(p)
-    _add_n(p)
-    _add_weight(p)
+    p = sub.add_parser("char", parents=[weight], help="print the graded character")
     p.add_argument(
         "--method",
         choices=("polytope", "branching"),
@@ -436,10 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_char)
 
-    p = sub.add_parser("dim", help="print the dimension")
-    _add_family(p)
-    _add_n(p)
-    _add_weight(p)
+    p = sub.add_parser("dim", parents=[weight], help="print the dimension")
     p.add_argument(
         "--method",
         choices=("polytope", "branching", "weyl"),
@@ -448,20 +427,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_dim)
 
-    p = sub.add_parser("ehrhart", help="count points of dilated weights")
-    _add_family(p)
-    _add_n(p)
-    _add_weight(p)
+    p = sub.add_parser(
+        "ehrhart", parents=[weight], help="count points of dilated weights"
+    )
     p.add_argument("--t-max", type=int, default=6, help="largest dilation factor")
     _add_format(p, choices=("json", "csv"))
     p.set_defaults(func=_cmd_ehrhart)
 
     p = sub.add_parser(
-        "transfer", help="order/chain point counts and transfer status"
+        "transfer", parents=[weight],
+        help="order/chain point counts and transfer status",
     )
-    _add_family(p)
-    _add_n(p)
-    _add_weight(p)
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("n1", help="rank-one family attachment report")
@@ -469,9 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_n1)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
+    p = sub.add_parser("verify", parents=[family], help="run a verification sweep")
     p.add_argument("target", choices=VERIFY_TARGETS)
-    _add_family(p)
     p.add_argument("--n", type=_int_at_least(1), default=1,
                    help="rank (default %(default)s)")
     _add_sweep_bounds(p, "largest k (n1-formula only)")

@@ -618,13 +618,14 @@ def _point_codes(family: str, n: int, weight: tuple[int, ...], radix: int, cut=(
     frontier DP: no point is walked or stored.
 
     A position's step is its place: the j-th of the width positions not in
-    ``cut`` has radix^(width-1-j), each cut one radix^width.  A coordinate
-    is at most radix - 1 (`_check_chain_range`, on the plan), so no kept
+    ``cut`` has radix^(width-1-j), each cut one radix^width.  A chain
+    coordinate is at most |weight|, proved here on the plan by
+    `_check_chain_range`, and the caller picks radix > |weight|, so no kept
     digit carries: a key below radix^width is the code of a point that is 0
     on the cut, and without a cut every count is 1.  Returns the keys view.
     """
     _, floor, preds, up = _walk_plan(family, n, weight)
-    _check_chain_range(floor, up, radix - 1)
+    _check_chain_range(floor, up, sum(weight))
     kept = [k for k in range(len(up)) if k not in cut]
     places = [radix ** len(kept)] * len(up)
     for k, e in zip(kept, reversed(range(len(kept)))):
@@ -668,10 +669,10 @@ def minkowski_sweep(family: str, n: int, pairs):
     walk (`lattice_points`), encoded and summed, and P(lam + mu) straight
     as codes from the frontier DP (`_point_codes`), so a fault in one is
     not cancelled by the same fault in the other.  A coordinate above |lam|
-    or |mu| in its walked polytope, or a plan of lam + mu whose chain
-    coordinates could exceed |lam| + |mu|, raises ArithmeticError at the
-    first pair that reads it, since the codes would then no longer be
-    proved to add without carry.
+    or |mu| in its walked polytope (`_encode`), or a plan of lam + mu whose
+    chain coordinates could exceed |lam| + |mu| (`_point_codes`), raises
+    ArithmeticError at the first pair that reads it, since the codes would
+    then no longer be proved to add without carry.
 
     What pairs share is computed once per call: each weight is encoded on
     its first use, and P(lam + mu) once per distinct sum, and each is
@@ -687,13 +688,8 @@ def minkowski_sweep(family: str, n: int, pairs):
     def encode(weight):
         return _encode(lattice_points(family, n, weight), radix, sum(weight))
 
-    def dp_codes(lam_mu):
-        _, floor, _, up = _walk_plan(family, n, lam_mu)
-        _check_chain_range(floor, up, sum(lam_mu))
-        return _point_codes(family, n, lam_mu, radix)
-
     codes = _Shared(encode, (w for pair in pairs for w in set(pair)))
-    totals = _Shared(dp_codes, sums)
+    totals = _Shared(lambda lam_mu: _point_codes(family, n, lam_mu, radix), sums)
 
     # A function, so that a pair's sets are freed before the next pair's.
     def check(lam, mu, lam_mu):

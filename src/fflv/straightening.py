@@ -134,7 +134,8 @@ def _derive(poly: dict[int, int], factors, width: int) -> dict[int, int]:
     <= DEGREE_LIMIT.
 
     One application is the Leibniz rule: variable k with exponent e lowered
-    to its target contributes e times the rule's coefficient.
+    to its target contributes e times the rule's coefficient, and a term
+    whose coefficient sums to 0 is dropped.
     """
     for rules, power in factors:
         for _ in range(power):
@@ -150,7 +151,7 @@ def _derive(poly: dict[int, int], factors, width: int) -> dict[int, int]:
                         if val:
                             out[key] = val
                         else:
-                            del out[key]
+                            out.pop(key, None)
             poly = out
     return poly
 
@@ -329,9 +330,14 @@ class Straightener:
     def _unpack(self, mono: int) -> tuple[int, ...]:
         return tuple(mono.to_bytes(self._tables.width, "little")[: self.nvars])
 
-    def _run(self, factors, poly: dict) -> dict:
-        """_derive on a polynomial of exponent tuples; zero terms are dropped
-        first, since _derive deletes a key whose coefficient cancels to 0."""
+    def apply_derivation(self, op: DerivationId, poly: dict) -> dict:
+        """One application, extended to products by the Leibniz rule."""
+        return self.apply_word(((op, 1),), poly)
+
+    def apply_word(self, word, poly: dict) -> dict:
+        """Apply a displayed operator word, rightmost factor first.  Zero
+        terms are dropped before a monomial's shape and degree are checked."""
+        factors = [(_packed_rules(self.n, op), exp) for op, exp in reversed(tuple(word))]
         packed = {}
         for mono, coeff in poly.items():
             if not coeff:
@@ -343,15 +349,6 @@ class Straightener:
             packed[self._pack(mono)] = coeff
         out = _derive(packed, factors, self._tables.width)
         return {self._unpack(mono): c for mono, c in out.items()}
-
-    def apply_derivation(self, op: DerivationId, poly: dict) -> dict:
-        """One application, extended to products by the Leibniz rule."""
-        return self._run(((_packed_rules(self.n, op), 1),), poly)
-
-    def apply_word(self, word, poly: dict) -> dict:
-        """Apply a displayed operator word, rightmost factor first."""
-        factors = [(_packed_rules(self.n, op), exp) for op, exp in reversed(tuple(word))]
-        return self._run(factors, poly)
 
     # -- straightening -----------------------------------------------------
 

@@ -220,6 +220,33 @@ def test_counting_verbs_output_pinned(capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of `--help` at 80 columns, the same on Python 3.10 to 3.13.
+PINNED_HELP_SHA256 = [
+    ("", "d90b100caed18e3aae56940c5bc77d5cb341c027f67cb25afa25dd786591c5ca"),
+    ("poset", "348b5bdc2c2c3e37d9538ebb06197a1384b35af5db1b345557401e8ff9108cc2"),
+    ("paths", "d87ee303161a9328aa8a68aeceb60cb8cb20687016afa5dc86556bfff024f087"),
+    ("ineq", "9d4a131f7f6db3c7d2702616e2da3398b571d5311e3f1a4dd85a8d2f0a3be88b"),
+    ("points", "310e05c169e5ef11085dfdb2434e915dd0de15ca56d99200c7e2e449bd505450"),
+    ("char", "fd71a82d835b4f6e5394cb1cd9214491ae1a663eab47598d39c2e09f3fa784eb"),
+    ("dim", "583023130be74784c776b8a71d1b4fb51f43bfebfbb7d75801b8a4bc99c2d7a9"),
+    ("ehrhart", "ab61aa9a925ec9fef41c936c234eae583248f7972878c98b4cf09edfce12a364"),
+    ("transfer", "72c8a32fb417b74511d70ae4b17529489af13e9354061be88bfb4c65a16d1671"),
+    ("n1", "3795d1b436fee818a043f85e41d7f2d673aeb0df922a4bd86a44622281fd94d3"),
+    ("verify", "ee8e659fb156af801e18f9273fe7e0949a10d9604c2e6d0f40798808b150a263"),
+]
+
+
+@pytest.mark.parametrize("verb, digest", PINNED_HELP_SHA256)
+def test_help_text_pinned(capsys, monkeypatch, verb, digest):
+    """The help of the parser and of each verb stays byte-identical."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*verb.split(), "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_poset_json(capsys):
     code, out, _ = run(capsys, "poset", "--family", "odd", "--n", "2")
     assert code == 0

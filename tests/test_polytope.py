@@ -709,15 +709,21 @@ def test_minkowski_sweep_reports_the_per_pair_first_failure(monkeypatch):
 
 def test_minkowski_sweep_runs_the_dp_once_per_sum(monkeypatch, capsys):
     # 36 pairs, 27 distinct sums; a second call recomputes every sum, so no
-    # state survives a call.
-    calls = []
-    real = polytope._point_codes
+    # state survives a call.  Each sum's chain range is proved once, in
+    # `_point_codes`.
+    calls, proofs = [], []
+    real, real_check = polytope._point_codes, polytope._check_chain_range
 
     def spy(family, n, weight, radix):
         calls.append(weight)
         return real(family, n, weight, radix)
 
+    def check_spy(floor, up, top):
+        proofs.append(top)
+        return real_check(floor, up, top)
+
     monkeypatch.setattr(polytope, "_point_codes", spy)
+    monkeypatch.setattr(polytope, "_check_chain_range", check_spy)
     argv = ["verify", "minkowski", "--family", "even", "--n", "3", "--max-coeff", "1"]
     sums = {tuple(map(add, lam, mu)) for lam, mu in box_pairs(3, 1)}
     assert len(sums) == 27
@@ -726,6 +732,7 @@ def test_minkowski_sweep_runs_the_dp_once_per_sum(monkeypatch, capsys):
         assert '"instances": 36' in capsys.readouterr().out
         assert len(calls) == 27 * rounds
         assert set(calls[27 * (rounds - 1):]) == sums
+        assert len(proofs) == 27 * rounds
 
 
 def test_minkowski_sweep_bounds_each_sum_by_its_own_size(monkeypatch):

@@ -791,6 +791,35 @@ def test_verify_many_matches_verify_on_doctored_rules(monkeypatch):
     assert list(eng.verify_many(cases)) == [None] * len(cases)
 
 
+def test_zero_rule_coefficient_reports_missing_lead(monkeypatch):
+    # A rule coefficient of 0 makes a contribution of 0 to a term the output
+    # may not hold yet; the term is dropped, and a case whose lead it was
+    # reports it missing.
+    real = straightening._packed_rules
+    op = Straightener(2).root_derivation(L(1, 1))
+
+    def doctored(n, rule_op):
+        rules = real(n, rule_op)
+        if rule_op != op:
+            return rules
+        (k, shift, _), *rest = rules
+        return ((k, shift, 0), *rest)
+
+    eng = Straightener(2)
+    cases = list(straightening_sweep(2, 2))
+    straightening._path_plan.cache_clear()
+    try:
+        monkeypatch.setattr(straightening, "_packed_rules", doctored)
+        batched = list(eng.verify_many(cases))
+        single = [eng.verify(*case) for case in cases]
+    finally:
+        monkeypatch.undo()
+        straightening._path_plan.cache_clear()
+    assert batched == single
+    kinds = [failure.kind for failure in batched if failure is not None]
+    assert (len(cases), kinds) == (375, ["leading_term_missing"] * 70)
+
+
 def test_verify_many_validates_every_case():
     eng = Straightener(1)
     path = paths_by_labels(eng)[(L(1, 1), L(1, 1, True))]
