@@ -12,23 +12,29 @@ that and nothing stronger, since the leading coefficient has no closed form.
 
 What depends only on the rank (labels, row slices, column variables, the
 packing constants) is built once per rank, and what depends only on the
-path (the variables off it and the operator words, each factor with the
-variables whose exponent sum is its power) once per path.  Inside, a
-monomial is packed into one integer so that, within one degree, integer
-order is the straightening order: byte k holds exponent k, so the last
-variable is most significant, and above the exponents one byte per row r
-holds 255 minus the row-r sum, row n most significant.  A derivation step
-is one integer addition, and `verify` passes when the packed violating
-vector is the `max` of the straightened polynomial, which has a single
-degree.  Derivations keep the total degree, so a degree of at most 255
-proves that every byte stays in [0, 255] and none carries; a larger degree
-raises ArithmeticError.  The public methods take and return exponent tuples.
+path (the variables off it and the operator words, each factor with its
+largest packed shift and the variables whose exponent sum is its power)
+once per path.  Inside, a monomial is packed into one integer so that,
+within one degree, integer order is the straightening order: byte k holds
+exponent k, so the last variable is most significant, and above the
+exponents one byte per row r holds 255 minus the row-r sum, row n most
+significant.  A derivation step is one integer addition, and `verify`
+passes when the packed violating vector is the `max` of the straightened
+polynomial, which has a single degree.  Derivations keep the total degree,
+so a degree of at most 255 proves that every byte stays in [0, 255] and
+none carries; a larger degree raises ArithmeticError.  The public methods
+take and return exponent tuples.
+
+`verify` skips each term below the floor, packed s minus the largest
+shifts still to be applied, since it can only end below s (see `_derive`).
+`straighten` returns every term, so it prunes nothing.
 
 `verify_many` verifies a batch of vectors and shares what they share: the
 operator words depend only on the row of the path's end, so vectors of one
 degree on paths ending in one row share every prefix of factor powers, and
 each prefix is derived once, in a trie that holds one degree at a time and
-does not outlive the call.
+does not outlive the call.  One prefix serves vectors with different
+leads, so the trie is not pruned.
 """
 
 from __future__ import annotations
@@ -128,30 +134,63 @@ def _packed_rules(n: int, op: DerivationId) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _derive(poly: dict[int, int], factors, width: int) -> dict[int, int]:
-    """Apply each (packed rules, power) factor power times, first factor
-    first, to a polynomial of packed monomials of width bytes and degree
-    <= DEGREE_LIMIT.
+def _top(rules) -> int:
+    """The largest shift among packed rules: the most one application can
+    raise a packed monomial."""
+    return max((shift for _, shift, _ in rules), default=0)
+
+
+def _derive(poly: dict[int, int], factors, width: int, lead: int | None = None) -> dict[int, int]:
+    """Apply each (packed rules, largest shift, power) factor power times,
+    first factor first, to a polynomial of packed monomials of width bytes
+    and degree <= DEGREE_LIMIT.
 
     One application is the Leibniz rule: variable k with exponent e lowered
     to its target contributes e times the rule's coefficient, and a term
     whose coefficient sums to 0 is dropped.
+
+    With lead, a packed monomial, only the terms at or above lead are
+    kept.  A term ends as its packed value plus the shifts still to be
+    applied, so it ends below lead when it lies below the floor, lead minus
+    the largest shifts still to come; such a term is skipped.  Every parent
+    of a term at or above a floor lies at or above the floor before it, so
+    the terms at or above lead keep their coefficients and their order.
+    Without lead the loop runs with no floor, since one comparison per
+    term slows the full derivation by a few percent.
     """
-    for rules, power in factors:
+    if lead is not None:
+        floor = lead - sum(top * power for _, top, power in factors)
+    for rules, top, power in factors:
         for _ in range(power):
             out: dict[int, int] = {}
             get = out.get
-            for mono, coeff in poly.items():
-                digits = mono.to_bytes(width, "little")
-                for k, shift, c in rules:
-                    e = digits[k]
-                    if e:
-                        key = mono + shift
-                        val = get(key, 0) + coeff * c * e
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
+            if lead is None:
+                for mono, coeff in poly.items():
+                    digits = mono.to_bytes(width, "little")
+                    for k, shift, c in rules:
+                        e = digits[k]
+                        if e:
+                            key = mono + shift
+                            val = get(key, 0) + coeff * c * e
+                            if val:
+                                out[key] = val
+                            else:
+                                out.pop(key, None)
+            else:
+                floor += top
+                for mono, coeff in poly.items():
+                    digits = mono.to_bytes(width, "little")
+                    for k, shift, c in rules:
+                        e = digits[k]
+                        if e:
+                            key = mono + shift
+                            if key < floor:
+                                continue
+                            val = get(key, 0) + coeff * c * e
+                            if val:
+                                out[key] = val
+                            else:
+                                out.pop(key, None)
             poly = out
     return poly
 
@@ -163,6 +202,15 @@ def _not_integer(s) -> TypeError:
             as_int(x)
         except TypeError:
             return TypeError(f"exponent {x!r} at position {k} is not an integer")
+
+
+def _least(s) -> int:
+    """The least entry of s; raises `_not_integer`'s error for an entry
+    that is not an integer."""
+    try:
+        return min(map(as_int, s))
+    except TypeError:
+        raise _not_integer(s) from None
 
 
 def _degree_error(degree: int) -> ArithmeticError:
@@ -223,8 +271,9 @@ def _path_plan(n: int, labels: tuple[RootLabel, ...]):
     """The two operator words for vectors on a barred path of rank n, as
     (off, factors, split).  off holds the variables not on the path, in
     order.  The factors of both words come in application order,
-    each as (op, packed rules, the variables whose exponent sum is its
-    power); factors[:split] is the first word, the rest the second.
+    each as (op, packed rules, their largest shift, the variables whose
+    exponent sum is its power); factors[:split] is the first word, the
+    rest the second.
 
     With i the row of the path's end, in display order (apply right to
     left): the first word is the prefix d(1,i-1)^{s_{.,ibar}+s_{i,.}} (absent
@@ -266,13 +315,13 @@ def _path_plan(n: int, labels: tuple[RootLabel, ...]):
     delta1 += [(d(1, j), col(j) + col(j + 1, True)) for j in range(n - 1, i - 1, -1)]
     delta1 += [(d(1, k, True), col(k - 1)) for k in range(i, 1, -1)]
     delta2 = [(d(1, j), row(j + 1)) for j in range(1, i - 1)]
-    factors = tuple(
-        (op, _packed_rules(n, op), power_vars)
-        for op, power_vars in delta1[::-1] + delta2[::-1]
-    )
+    factors = []
+    for op, power_vars in delta1[::-1] + delta2[::-1]:
+        rules = _packed_rules(n, op)
+        factors.append((op, rules, _top(rules), power_vars))
     on_path = {poset.index(lab) for lab in labels}
     off = tuple(k for k in index if k not in on_path)
-    return off, factors, len(delta1)
+    return off, tuple(factors), len(delta1)
 
 
 class Straightener:
@@ -320,8 +369,8 @@ class Straightener:
         return _derivation_rules(self.n, op)
 
     def _pack(self, mono) -> int:
-        """The packed form of an exponent tuple of degree <= DEGREE_LIMIT;
-        bytes() rejects an exponent that is negative or not an integer."""
+        """The packed form of an exponent tuple of nonnegative integers of
+        degree <= DEGREE_LIMIT; every caller validates the tuple first."""
         tables = self._tables
         return int.from_bytes(bytes(mono), "little") + sum(
             map(mul, mono, tables.row_units), tables.empty
@@ -336,14 +385,22 @@ class Straightener:
 
     def apply_word(self, word, poly: dict) -> dict:
         """Apply a displayed operator word, rightmost factor first.  Zero
-        terms are dropped before a monomial's shape and degree are checked."""
-        factors = [(_packed_rules(self.n, op), exp) for op, exp in reversed(tuple(word))]
+        terms are dropped before a monomial's shape, entries and degree are
+        checked; an entry that is not an integer raises TypeError and a
+        negative one ValueError, each naming its position."""
+        factors = []
+        for op, exp in reversed(tuple(word)):
+            rules = _packed_rules(self.n, op)
+            factors.append((rules, _top(rules), exp))
         packed = {}
         for mono, coeff in poly.items():
             if not coeff:
                 continue
             if len(mono) != self.nvars:
                 raise ValueError("monomial has the wrong shape")
+            if _least(mono) < 0:
+                k, x = next((k, x) for k, x in enumerate(mono) if x < 0)
+                raise ValueError(f"exponent {x!r} at position {k} is negative")
             if sum(mono) > DEGREE_LIMIT:
                 raise _degree_error(sum(mono))
             packed[self._pack(mono)] = coeff
@@ -358,11 +415,7 @@ class Straightener:
             raise ValueError("path belongs to a different poset")
         if len(s) != self.nvars:
             raise ValueError("exponent vector has the wrong shape")
-        try:
-            low = min(map(as_int, s))
-        except TypeError:
-            raise _not_integer(s) from None
-        if low < 0:
+        if _least(s) < 0:
             raise ValueError("exponent vector has the wrong shape")
         plan = _path_plan(self.n, path.labels)
         if any(map(s.__getitem__, plan[0])):
@@ -379,13 +432,13 @@ class Straightener:
         get = s.__getitem__
         words = []
         for word in (factors[:split], factors[split:]):
-            powers = ((op, sum(map(get, ks))) for op, _, ks in reversed(word))
+            powers = ((op, sum(map(get, ks))) for op, _, _, ks in reversed(word))
             words.append(tuple(factor for factor in powers if factor[1]))
         return tuple(words)
 
     def _checked_factors(self, weight: tuple[int, ...], s: tuple[int, ...], path):
         """Validate a straightening case; return its degree and its
-        (packed rules, power) factors in application order."""
+        (packed rules, largest shift, power) factors in application order."""
         _, plan_factors, _ = self._check_path_point(s, path)
         weight = check_weight("odd", self.n, weight)
         sigma = sum(s)
@@ -394,17 +447,22 @@ class Straightener:
         if sigma > DEGREE_LIMIT:
             raise _degree_error(sigma)
         get = s.__getitem__
-        return sigma, [(rules, sum(map(get, ks))) for _, rules, ks in plan_factors]
+        return sigma, [(rules, top, sum(map(get, ks))) for _, rules, top, ks in plan_factors]
 
     def _start(self, sigma: int) -> int:
         """The packed pure power f_{1,1bar}^sigma."""
         tables = self._tables
         return tables.empty + sigma * _unit(tables, tables.start_var)
 
-    def _straighten_packed(self, weight: tuple[int, ...], s: tuple[int, ...], path):
-        """`straighten` on packed monomials: {packed monomial: coefficient}."""
+    def _straighten_packed(self, weight: tuple[int, ...], s: tuple[int, ...], path,
+                           prune: bool = False):
+        """`straighten` on packed monomials: {packed monomial: coefficient}.
+        With prune, only the terms at or above s, each with its coefficient
+        and in its order in the full polynomial; s is packed only once it
+        is validated."""
         sigma, factors = self._checked_factors(weight, s, path)
-        return _derive({self._start(sigma): 1}, factors, self._tables.width)
+        lead = self._pack(s) if prune else None
+        return _derive({self._start(sigma): 1}, factors, self._tables.width, lead)
 
     def straighten(self, weight: tuple[int, ...], s: tuple[int, ...], path) -> dict:
         """Apply both operator words to the pure power of f_{1,1bar}."""
@@ -430,8 +488,13 @@ class Straightener:
         strictly smaller in the straightening order.  All monomials share
         s's degree, so on packed monomials that is one `max`; a failure
         names the first monomial in term order that is greater than s.
+
+        Only the terms at or above s decide that, so the derivation skips
+        every term that lies below s minus the largest shifts still to be
+        applied (see `_derive`): it cannot climb back to s, and the terms
+        at or above s keep their coefficients and their order.
         """
-        return self._check_lead(self._straighten_packed(weight, s, path), s)
+        return self._check_lead(self._straighten_packed(weight, s, path, True), s)
 
     def verify_many(self, cases):
         """`verify` for each (weight, s, path) in cases, yielding its result
@@ -459,7 +522,7 @@ class Straightener:
                 node = roots[row] = ({self._start(sigma): 1}, {})
             for factor in factors:
                 poly, children = node
-                node = children.get(factor[1])
+                node = children.get(factor[2])
                 if node is None:
-                    node = children[factor[1]] = (_derive(poly, (factor,), width), {})
+                    node = children[factor[2]] = (_derive(poly, (factor,), width), {})
             yield self._check_lead(node[0], s)

@@ -695,6 +695,19 @@ def test_apply_word_rejects_malformed_monomials():
         eng.apply_word(((special, 1),), {(1, 2, 3): 1})
     with pytest.raises(ValueError):
         eng.apply_derivation(special, {(2, -1): 1})
+    # Each entry is checked before packing, which once raised bytes()'s
+    # range error for a negative entry and a bare TypeError for a float.
+    for mono, error, message in (
+        ((2, -1), ValueError, "exponent -1 at position 1 is negative"),
+        ((-3, 0), ValueError, "exponent -3 at position 0 is negative"),
+        ((1.5, 1), TypeError, "exponent 1.5 at position 0 is not an integer"),
+        ((1, 1.0), TypeError, "exponent 1.0 at position 1 is not an integer"),
+        ((-1, "1"), TypeError, "exponent '1' at position 1 is not an integer"),
+    ):
+        for call in (lambda: eng.apply_derivation(special, {mono: 1}),
+                     lambda: eng.apply_word((), {(0, 1): 2, mono: 1})):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call()
 
 
 def test_apply_derivation_ignores_zero_terms():
@@ -722,15 +735,20 @@ def test_tables_and_plans_are_shared():
         assert a._check_path_point(s, path) is b._check_path_point(s, path)
 
 
-def reference_cases():
-    """(engine, cases): every vector `straightening_sweep(n, 2)` visits for
-    n <= 3, and 200 seeded rank-4 vectors whose degree goes up and down."""
-    groups = [(Straightener(n), list(straightening_sweep(n, 2))) for n in (1, 2, 3)]
+def rank4_cases():
+    """(engine, cases): 200 seeded rank-4 vectors whose degree goes up and
+    down, path bounds 0..8."""
     eng4 = Straightener(4)
     paths4 = [p for p in dyck_paths(eng4.poset) if p.start == L(1, 1) and p.end.barred]
     rng = random.Random(2024)
-    groups.append((eng4, [random_violating_vector(rng, eng4, paths4, k % 9)
-                          for k in range(200)]))
+    return eng4, [random_violating_vector(rng, eng4, paths4, k % 9) for k in range(200)]
+
+
+def reference_cases():
+    """(engine, cases): every vector `straightening_sweep(n, 2)` visits for
+    n <= 3, and the 200 seeded rank-4 vectors of `rank4_cases`."""
+    groups = [(Straightener(n), list(straightening_sweep(n, 2))) for n in (1, 2, 3)]
+    groups.append(rank4_cases())
     return groups
 
 
@@ -831,3 +849,95 @@ def test_verify_many_validates_every_case():
         assert next(results) is None
         with pytest.raises(error):
             next(results)
+
+
+def pruning_cases():
+    """(engine, cases): `straightening_sweep(2, 2)`, `straightening_sweep(3, 1)`
+    and the 200 seeded rank-4 vectors of `rank4_cases`."""
+    groups = [(Straightener(n), list(straightening_sweep(n, c))) for n, c in ((2, 2), (3, 1))]
+    groups.append(rank4_cases())
+    return groups
+
+
+def test_pruned_derivation_keeps_every_term_that_reaches_lead():
+    # With a lead, _derive keeps exactly the terms of the full polynomial at
+    # or above it, with their coefficients and in their order.  Besides the
+    # packed s, the leads are terms of the full polynomial and the integers
+    # just below them, so that many terms lie above the lead and their
+    # order shows.
+    rng = random.Random(11)
+    orders = dropped = 0
+    for eng, cases in pruning_cases():
+        width = eng._tables.width
+        for weight, s, path in cases:
+            sigma, factors = eng._checked_factors(weight, s, path)
+            start = {eng._start(sigma): 1}
+            full = straightening._derive(start, factors, width)
+            assert full == eng._straighten_packed(weight, s, path)
+            terms = list(full)
+            picked = rng.sample(terms, min(2, len(terms)))
+            leads = {eng._pack(s), min(terms)} | {t - 1 for t in picked}
+            for lead in leads:
+                pruned = straightening._derive(start, factors, width, lead)
+                assert list(pruned.items()) == [(t, c) for t, c in full.items() if t >= lead]
+                orders += 1 < len(pruned) < len(full)
+            lead_only = eng._straighten_packed(weight, s, path, True)
+            assert lead_only == {eng._pack(s): full[eng._pack(s)]}
+            dropped += len(full) > 1
+    # Not vacuous: of the 2,665 cases, 1,397 have terms below s to drop,
+    # and 737 pruned derivations keep two or more terms and drop some.
+    assert (orders, dropped) == (737, 1397)
+
+
+def rule_mutants(n):
+    """Doctored `_packed_rules` for rank n, by name: one rule coefficient
+    doubled, negated or set to 0 (the first rule of d(1,1) or the last of
+    the special derivation), and the first rule of d(1,1) moved to variable
+    2.  Coefficient changes alone reach only `leading_term_missing`; the
+    moved rule also reaches `term_not_smaller`."""
+    real = straightening._packed_rules
+    tables = _rank_tables(n)
+    d11, special = DerivationId("root", L(1, 1)), DerivationId("special")
+
+    def mutant(op, pick, change):
+        def doctored(rank, rule_op):
+            rules = list(real(rank, rule_op))
+            if rank == n and rule_op == op:
+                k, shift, c = rules[pick]
+                rules[pick] = change(k, shift, c)
+            return tuple(rules)
+        return doctored
+
+    mutants = {}
+    for op, pick in ((d11, 0), (special, -1)):
+        for name, factor in (("doubled", 2), ("negated", -1), ("zero", 0)):
+            mutants[f"{op} rule {pick} {name}"] = mutant(
+                op, pick, lambda k, shift, c, f=factor: (k, shift, f * c))
+    mutants[f"{d11} rule 0 moved"] = mutant(
+        d11, 0, lambda k, shift, c: (
+            k, straightening._unit(tables, 2) - straightening._unit(tables, k), c))
+    return mutants
+
+
+def test_pruned_verify_matches_full_check_under_mutants(monkeypatch):
+    # Under doctored rules a lead can go missing or a greater term appear:
+    # pruned verify, _check_lead of the full polynomial and verify_many
+    # must still agree.  Word plans are cached per path, so the cache is
+    # cleared on both sides of each doctored run.
+    groups = [(Straightener(2), list(straightening_sweep(2, 2))), rank4_cases()]
+    kinds = set()
+    for eng, cases in groups:
+        for name, doctored in rule_mutants(eng.n).items():
+            straightening._path_plan.cache_clear()
+            try:
+                monkeypatch.setattr(straightening, "_packed_rules", doctored)
+                pruned = [eng.verify(*case) for case in cases]
+                full = [eng._check_lead(eng._straighten_packed(*case), case[1])
+                        for case in cases]
+                batched = list(eng.verify_many(cases))
+            finally:
+                monkeypatch.undo()
+                straightening._path_plan.cache_clear()
+            assert pruned == full == batched, (eng.n, name)
+            kinds |= {failure.kind for failure in pruned if failure is not None}
+    assert kinds == {"leading_term_missing", "term_not_smaller"}
