@@ -25,7 +25,7 @@ so a degree of at most 255 proves that every byte stays in [0, 255] and
 none carries; a larger degree raises ArithmeticError.  The public methods
 take and return exponent tuples.
 
-`verify` skips each term below the floor, packed s minus the largest
+`verify` drops each term below the floor, packed s minus the largest
 shifts still to be applied, since it can only end below s (see `_derive`).
 `straighten` returns every term, so it prunes nothing.
 
@@ -134,16 +134,10 @@ def _packed_rules(n: int, op: DerivationId) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _top(rules) -> int:
-    """The largest shift among packed rules: the most one application can
-    raise a packed monomial."""
-    return max((shift for _, shift, _ in rules), default=0)
-
-
 def _derive(poly: dict[int, int], factors, width: int, lead: int | None = None) -> dict[int, int]:
     """Apply each (packed rules, largest shift, power) factor power times,
     first factor first, to a polynomial of packed monomials of width bytes
-    and degree <= DEGREE_LIMIT.
+    and degree <= DEGREE_LIMIT.  The largest shift is read only with lead.
 
     One application is the Leibniz rule: variable k with exponent e lowered
     to its target contributes e times the rule's coefficient, and a term
@@ -152,11 +146,9 @@ def _derive(poly: dict[int, int], factors, width: int, lead: int | None = None) 
     With lead, a packed monomial, only the terms at or above lead are
     kept.  A term ends as its packed value plus the shifts still to be
     applied, so it ends below lead when it lies below the floor, lead minus
-    the largest shifts still to come; such a term is skipped.  Every parent
-    of a term at or above a floor lies at or above the floor before it, so
-    the terms at or above lead keep their coefficients and their order.
-    Without lead the loop runs with no floor, since one comparison per
-    term slows the full derivation by a few percent.
+    the largest shifts still to come; after each factor such terms are
+    dropped.  A dropped term's products lie below every later floor, so the
+    terms at or above lead keep their coefficients and their order.
     """
     if lead is not None:
         floor = lead - sum(top * power for _, top, power in factors)
@@ -164,34 +156,21 @@ def _derive(poly: dict[int, int], factors, width: int, lead: int | None = None) 
         for _ in range(power):
             out: dict[int, int] = {}
             get = out.get
-            if lead is None:
-                for mono, coeff in poly.items():
-                    digits = mono.to_bytes(width, "little")
-                    for k, shift, c in rules:
-                        e = digits[k]
-                        if e:
-                            key = mono + shift
-                            val = get(key, 0) + coeff * c * e
-                            if val:
-                                out[key] = val
-                            else:
-                                out.pop(key, None)
-            else:
-                floor += top
-                for mono, coeff in poly.items():
-                    digits = mono.to_bytes(width, "little")
-                    for k, shift, c in rules:
-                        e = digits[k]
-                        if e:
-                            key = mono + shift
-                            if key < floor:
-                                continue
-                            val = get(key, 0) + coeff * c * e
-                            if val:
-                                out[key] = val
-                            else:
-                                out.pop(key, None)
+            for mono, coeff in poly.items():
+                digits = mono.to_bytes(width, "little")
+                for k, shift, c in rules:
+                    e = digits[k]
+                    if e:
+                        key = mono + shift
+                        val = get(key, 0) + coeff * c * e
+                        if val:
+                            out[key] = val
+                        else:
+                            out.pop(key, None)
             poly = out
+        if lead is not None and power:
+            floor += top * power
+            poly = {key: val for key, val in poly.items() if key >= floor}
     return poly
 
 
@@ -318,7 +297,8 @@ def _path_plan(n: int, labels: tuple[RootLabel, ...]):
     factors = []
     for op, power_vars in delta1[::-1] + delta2[::-1]:
         rules = _packed_rules(n, op)
-        factors.append((op, rules, _top(rules), power_vars))
+        top = max((shift for _, shift, _ in rules), default=0)
+        factors.append((op, rules, top, power_vars))
     on_path = {poset.index(lab) for lab in labels}
     off = tuple(k for k in index if k not in on_path)
     return off, tuple(factors), len(delta1)
@@ -388,10 +368,7 @@ class Straightener:
         terms are dropped before a monomial's shape, entries and degree are
         checked; an entry that is not an integer raises TypeError and a
         negative one ValueError, each naming its position."""
-        factors = []
-        for op, exp in reversed(tuple(word)):
-            rules = _packed_rules(self.n, op)
-            factors.append((rules, _top(rules), exp))
+        factors = [(_packed_rules(self.n, op), 0, exp) for op, exp in reversed(tuple(word))]
         packed = {}
         for mono, coeff in poly.items():
             if not coeff:
@@ -489,7 +466,7 @@ class Straightener:
         s's degree, so on packed monomials that is one `max`; a failure
         names the first monomial in term order that is greater than s.
 
-        Only the terms at or above s decide that, so the derivation skips
+        Only the terms at or above s decide that, so the derivation drops
         every term that lies below s minus the largest shifts still to be
         applied (see `_derive`): it cannot climb back to s, and the terms
         at or above s keep their coefficients and their order.

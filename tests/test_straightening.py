@@ -772,40 +772,51 @@ def test_verify_many_matches_verify_in_any_degree_order():
     assert list(eng.verify_many([])) == []
 
 
+def doctored_results(monkeypatch, doctored):
+    """With `_packed_rules` replaced by doctored, the results of pruned
+    `verify` over `straightening_sweep(2, 2)` and the rank-4 vectors of
+    `rank4_cases`, one list per group, after checking that `_check_lead` of
+    the full polynomial and `verify_many` give the same.  Operator words
+    are cached per path, so the cache is cleared on both sides of the
+    doctored run."""
+    groups = [(Straightener(2), list(straightening_sweep(2, 2))), rank4_cases()]
+    results = []
+    straightening._path_plan.cache_clear()
+    try:
+        monkeypatch.setattr(straightening, "_packed_rules", doctored)
+        for eng, cases in groups:
+            pruned = [eng.verify(*case) for case in cases]
+            full = [eng._check_lead(eng._straighten_packed(*case), case[1]) for case in cases]
+            assert pruned == full == list(eng.verify_many(cases))
+            results.append(pruned)
+    finally:
+        monkeypatch.undo()
+        straightening._path_plan.cache_clear()
+    return results
+
+
 def test_verify_many_matches_verify_on_doctored_rules(monkeypatch):
     # A rule coefficient alone changed to -1, 2 or 3 times its value makes no
     # case fail: the lead never cancels and no greater term appears.  So the
     # first rule of d(1,1) here moves its unit to variable 2 instead, which
-    # reaches both failure kinds.  Operator words are cached per path, so
-    # the cache is cleared on both sides of the doctored run.
+    # reaches both failure kinds.
     real = straightening._packed_rules
-    eng = Straightener(2)
-    tables = _rank_tables(2)
-    op = eng.root_derivation(L(1, 1))
+    op = DerivationId("root", L(1, 1))
 
     def doctored(n, rule_op):
         rules = real(n, rule_op)
         if rule_op != op:
             return rules
+        tables = _rank_tables(n)
         (k, _, c), *rest = rules
         return ((k, straightening._unit(tables, 2) - straightening._unit(tables, k), c),
                 *rest)
 
+    for results in doctored_results(monkeypatch, doctored):
+        kinds = {failure.kind for failure in results if failure is not None}
+        assert kinds == {"leading_term_missing", "term_not_smaller"}
+    eng = Straightener(2)
     cases = list(straightening_sweep(2, 2))
-    straightening._path_plan.cache_clear()
-    try:
-        monkeypatch.setattr(straightening, "_packed_rules", doctored)
-        batched = list(eng.verify_many(cases))
-        single = [eng.verify(*case) for case in cases]
-    finally:
-        monkeypatch.undo()
-        straightening._path_plan.cache_clear()
-    assert batched == single
-    firsts = {}
-    for (_, s, _), failure in zip(cases, batched):
-        if failure is not None:
-            firsts.setdefault(failure.kind, (s, failure))
-    assert set(firsts) == {"leading_term_missing", "term_not_smaller"}
     assert list(eng.verify_many(cases)) == [None] * len(cases)
 
 
@@ -814,7 +825,7 @@ def test_zero_rule_coefficient_reports_missing_lead(monkeypatch):
     # may not hold yet; the term is dropped, and a case whose lead it was
     # reports it missing.
     real = straightening._packed_rules
-    op = Straightener(2).root_derivation(L(1, 1))
+    op = DerivationId("root", L(1, 1))
 
     def doctored(n, rule_op):
         rules = real(n, rule_op)
@@ -823,19 +834,12 @@ def test_zero_rule_coefficient_reports_missing_lead(monkeypatch):
         (k, shift, _), *rest = rules
         return ((k, shift, 0), *rest)
 
-    eng = Straightener(2)
-    cases = list(straightening_sweep(2, 2))
-    straightening._path_plan.cache_clear()
-    try:
-        monkeypatch.setattr(straightening, "_packed_rules", doctored)
-        batched = list(eng.verify_many(cases))
-        single = [eng.verify(*case) for case in cases]
-    finally:
-        monkeypatch.undo()
-        straightening._path_plan.cache_clear()
-    assert batched == single
-    kinds = [failure.kind for failure in batched if failure is not None]
-    assert (len(cases), kinds) == (375, ["leading_term_missing"] * 70)
+    counts = []
+    for results in doctored_results(monkeypatch, doctored):
+        kinds = [failure.kind for failure in results if failure is not None]
+        assert set(kinds) == {"leading_term_missing"}
+        counts.append((len(results), len(kinds)))
+    assert counts == [(375, 70), (200, 31)]
 
 
 def test_verify_many_validates_every_case():
@@ -887,57 +891,3 @@ def test_pruned_derivation_keeps_every_term_that_reaches_lead():
     # Not vacuous: of the 2,665 cases, 1,397 have terms below s to drop,
     # and 737 pruned derivations keep two or more terms and drop some.
     assert (orders, dropped) == (737, 1397)
-
-
-def rule_mutants(n):
-    """Doctored `_packed_rules` for rank n, by name: one rule coefficient
-    doubled, negated or set to 0 (the first rule of d(1,1) or the last of
-    the special derivation), and the first rule of d(1,1) moved to variable
-    2.  Coefficient changes alone reach only `leading_term_missing`; the
-    moved rule also reaches `term_not_smaller`."""
-    real = straightening._packed_rules
-    tables = _rank_tables(n)
-    d11, special = DerivationId("root", L(1, 1)), DerivationId("special")
-
-    def mutant(op, pick, change):
-        def doctored(rank, rule_op):
-            rules = list(real(rank, rule_op))
-            if rank == n and rule_op == op:
-                k, shift, c = rules[pick]
-                rules[pick] = change(k, shift, c)
-            return tuple(rules)
-        return doctored
-
-    mutants = {}
-    for op, pick in ((d11, 0), (special, -1)):
-        for name, factor in (("doubled", 2), ("negated", -1), ("zero", 0)):
-            mutants[f"{op} rule {pick} {name}"] = mutant(
-                op, pick, lambda k, shift, c, f=factor: (k, shift, f * c))
-    mutants[f"{d11} rule 0 moved"] = mutant(
-        d11, 0, lambda k, shift, c: (
-            k, straightening._unit(tables, 2) - straightening._unit(tables, k), c))
-    return mutants
-
-
-def test_pruned_verify_matches_full_check_under_mutants(monkeypatch):
-    # Under doctored rules a lead can go missing or a greater term appear:
-    # pruned verify, _check_lead of the full polynomial and verify_many
-    # must still agree.  Word plans are cached per path, so the cache is
-    # cleared on both sides of each doctored run.
-    groups = [(Straightener(2), list(straightening_sweep(2, 2))), rank4_cases()]
-    kinds = set()
-    for eng, cases in groups:
-        for name, doctored in rule_mutants(eng.n).items():
-            straightening._path_plan.cache_clear()
-            try:
-                monkeypatch.setattr(straightening, "_packed_rules", doctored)
-                pruned = [eng.verify(*case) for case in cases]
-                full = [eng._check_lead(eng._straighten_packed(*case), case[1])
-                        for case in cases]
-                batched = list(eng.verify_many(cases))
-            finally:
-                monkeypatch.undo()
-                straightening._path_plan.cache_clear()
-            assert pruned == full == batched, (eng.n, name)
-            kinds |= {failure.kind for failure in pruned if failure is not None}
-    assert kinds == {"leading_term_missing", "term_not_smaller"}
