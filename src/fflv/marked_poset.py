@@ -239,6 +239,10 @@ def transfer(poset: MarkedPoset, x) -> tuple[int, ...]:
                 raise ValueError(f"order point has no value for {_element_name(e)}")
             if e not in x:
                 raise ValueError(f"marked element {_element_name(e)} must equal {v}")
+        # Every element has a value, so a longer mapping has a key that is not one.
+        if len(x) > len(poset.elements):
+            junk = _element_name(next(e for e in x if e not in poset.elements))
+            raise ValueError(f"order point has a value for {junk}, which is not an element")
         x = tuple(x[e] for e in poset.elements)
     elif len(x) != len(poset.elements):
         raise ValueError("order point has the wrong length")
@@ -313,6 +317,16 @@ def fflv_marked_poset(family: str, n: int, weight: tuple[int, ...]) -> MarkedPos
     )
 
 
+def _check_n1_case(k: int, m: tuple[int, ...]) -> None:
+    """Raise ValueError unless (k, m) is a rank-one family case."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if len(m) != k - 1:
+        raise ValueError("coefficient vector must have length k-1")
+    if any(x < 0 for x in m):
+        raise ValueError("coefficients must be nonnegative")
+
+
 def n1_formula(k: int, m: tuple[int, ...]) -> int:
     """Product formula with one extra linear factor in front.
 
@@ -321,12 +335,7 @@ def n1_formula(k: int, m: tuple[int, ...]) -> int:
     alone counts the chain points of the type-A poset with k-1 coefficient
     slots; the for-free factor is what the extra poset element must buy.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if len(m) != k - 1:
-        raise ValueError("coefficient vector must have length k-1")
-    if any(x < 0 for x in m):
-        raise ValueError("coefficients must be nonnegative")
+    _check_n1_case(k, m)
     val = Fraction(k + sum(i * x for i, x in enumerate(m, start=1)), k)
     for i in range(1, k):
         for j in range(i, k):
@@ -384,8 +393,7 @@ def n1_family_poset(
     """
     if attachment not in n1_attachments:
         raise ValueError(f"unknown attachment {attachment!r}")
-    if len(m) != k - 1:
-        raise ValueError("coefficient vector must have length k-1")
+    _check_n1_case(k, m)
     if k == 1:
         # No roots at all: every candidate degenerates to a single element
         # pinched between two zero markings.

@@ -18,12 +18,13 @@ once per path.  Inside, a monomial is packed into one integer so that,
 within one degree, integer order is the straightening order: byte k holds
 exponent k, so the last variable is most significant, and above the
 exponents one byte per row r holds 255 minus the row-r sum, row n most
-significant.  A derivation step is one integer addition, and `verify`
-passes when the packed violating vector is the `max` of the straightened
-polynomial, which has a single degree.  Derivations keep the total degree,
-so a degree of at most 255 proves that every byte stays in [0, 255] and
-none carries; a larger degree raises ArithmeticError.  The public methods
-take and return exponent tuples.
+significant; one table of units per rank defines that layout.  A derivation
+step is one integer addition, and `verify` passes when the packed violating
+vector is the `max` of the straightened polynomial, which has a single
+degree.  Derivations keep the total degree, so a degree of at most 255
+proves that every byte stays in [0, 255] and none carries; a larger degree
+raises ArithmeticError.  The public methods take and return exponent
+tuples, and `_degree` checks every tuple that enters the packed engine.
 
 `verify` drops each term below the floor, packed s minus the largest
 shifts still to be applied, since it can only end below s (see `_derive`).
@@ -92,11 +93,9 @@ def _bracket(x: dict, y: dict) -> dict:
     return {pos: c for pos, c in out.items() if c}
 
 
-@lru_cache(maxsize=1024)
-def _derivation_rules(n: int, op: DerivationId):
+def _derivation_rules(n: int, op: DerivationId) -> dict[int, tuple[int, int]]:
     """Action of op on the rank-n generators: variable index -> (target
-    index, coefficient).  Read-only, since every Straightener of rank n
-    shares it."""
+    index, coefficient)."""
     odd = build_poset("odd", n)
     rules: dict[int, tuple[int, int]] = {}
     if op.kind == "root":
@@ -120,17 +119,16 @@ def _derivation_rules(n: int, op: DerivationId):
                 rules[k] = min(hits)
     else:
         raise ValueError(f"unknown derivation kind {op.kind!r}")
-    return MappingProxyType(rules)
+    return rules
 
 
 @lru_cache(maxsize=1024)
 def _packed_rules(n: int, op: DerivationId) -> tuple[tuple[int, int, int], ...]:
     """op's rules on packed monomials: (source k, shift, coefficient), where
     adding the shift moves one unit from k to the rule's target."""
-    tables = _rank_tables(n)
+    units = _rank_tables(n).units
     return tuple(
-        (k, _unit(tables, tgt) - _unit(tables, k), c)
-        for k, (tgt, c) in _derivation_rules(n, op).items()
+        (k, units[tgt] - units[k], c) for k, (tgt, c) in _derivation_rules(n, op).items()
     )
 
 
@@ -174,22 +172,20 @@ def _derive(poly: dict[int, int], factors, width: int, lead: int | None = None) 
     return poly
 
 
-def _not_integer(s) -> TypeError:
-    """The error for the first entry of s that is not an integer."""
+def _degree(s, nvars: int, noun: str) -> int:
+    """The degree of the exponent tuple s; raises for a wrong length, then
+    for the first entry that is not an integer, then for the first negative."""
+    if len(s) != nvars:
+        raise ValueError(f"{noun} has the wrong shape")
     for k, x in enumerate(s):
         try:
             as_int(x)
         except TypeError:
-            return TypeError(f"exponent {x!r} at position {k} is not an integer")
-
-
-def _least(s) -> int:
-    """The least entry of s; raises `_not_integer`'s error for an entry
-    that is not an integer."""
-    try:
-        return min(map(as_int, s))
-    except TypeError:
-        raise _not_integer(s) from None
+            raise TypeError(f"exponent {x!r} at position {k} is not an integer") from None
+    for k, x in enumerate(s):
+        if x < 0:
+            raise ValueError(f"exponent {x!r} at position {k} is negative")
+    return sum(s)
 
 
 def _degree_error(degree: int) -> ArithmeticError:
@@ -200,14 +196,15 @@ def _degree_error(degree: int) -> ArithmeticError:
 
 
 class _RankTables(namedtuple(
-    "_RankTables", "poset labels row_slices col_vars start_var width empty row_units"
+    "_RankTables", "poset labels row_slices col_vars start_var width empty units"
 )):
     """What depends only on the rank.  start_var is f_{1,1bar}, whose pure
     power every straightening starts from.  A packed monomial has width
     bytes: the exponents, byte k for variable k, then one byte per row r
     holding 255 minus the row-r sum, row n most significant.  empty is the
-    packed monomial 1, every row byte 255; row_units[k] is the change to
-    the row bytes of one more unit of variable k."""
+    packed monomial 1, every row byte 255; units[k] is the packed change of
+    one more unit of variable k: its exponent byte up, its row byte down.
+    These two define the layout: s packs to empty + sum of s[k] * units[k]."""
 
     __slots__ = ()
 
@@ -229,14 +226,8 @@ def _rank_tables(n: int) -> _RankTables:
     return _RankTables(
         poset, labels, row_slices, MappingProxyType(col_vars),
         poset.index(RootLabel(1, 1, True)), nvars + n, 255 * sum(row_place),
-        tuple(-row_place[r - 1] for r in rows),
+        tuple((1 << 8 * k) - row_place[r - 1] for k, r in enumerate(rows)),
     )
-
-
-def _unit(tables: _RankTables, k: int) -> int:
-    """Packed change of one more unit of variable k: its exponent byte up,
-    its row byte down."""
-    return (1 << 8 * k) + tables.row_units[k]
 
 
 def _root_op(n: int, label: RootLabel) -> DerivationId:
@@ -345,16 +336,14 @@ class Straightener:
         return DerivationId("special")
 
     def derivation_rules(self, op: DerivationId):
-        """Action on generators: variable index -> (target index, coefficient)."""
+        """Action on generators: variable index -> (target index, coefficient),
+        as a fresh dict."""
         return _derivation_rules(self.n, op)
 
     def _pack(self, mono) -> int:
         """The packed form of an exponent tuple of nonnegative integers of
         degree <= DEGREE_LIMIT; every caller validates the tuple first."""
-        tables = self._tables
-        return int.from_bytes(bytes(mono), "little") + sum(
-            map(mul, mono, tables.row_units), tables.empty
-        )
+        return sum(map(mul, mono, self._tables.units), self._tables.empty)
 
     def _unpack(self, mono: int) -> tuple[int, ...]:
         return tuple(mono.to_bytes(self._tables.width, "little")[: self.nvars])
@@ -373,13 +362,9 @@ class Straightener:
         for mono, coeff in poly.items():
             if not coeff:
                 continue
-            if len(mono) != self.nvars:
-                raise ValueError("monomial has the wrong shape")
-            if _least(mono) < 0:
-                k, x = next((k, x) for k, x in enumerate(mono) if x < 0)
-                raise ValueError(f"exponent {x!r} at position {k} is negative")
-            if sum(mono) > DEGREE_LIMIT:
-                raise _degree_error(sum(mono))
+            degree = _degree(mono, self.nvars, "monomial")
+            if degree > DEGREE_LIMIT:
+                raise _degree_error(degree)
             packed[self._pack(mono)] = coeff
         out = _derive(packed, factors, self._tables.width)
         return {self._unpack(mono): c for mono, c in out.items()}
@@ -390,10 +375,7 @@ class Straightener:
         """Validate s and path; return the path's word plan."""
         if path.family != "odd" or path.n != self.n:
             raise ValueError("path belongs to a different poset")
-        if len(s) != self.nvars:
-            raise ValueError("exponent vector has the wrong shape")
-        if _least(s) < 0:
-            raise ValueError("exponent vector has the wrong shape")
+        _degree(s, self.nvars, "exponent vector")
         plan = _path_plan(self.n, path.labels)
         if any(map(s.__getitem__, plan[0])):
             raise ValueError("exponent vector is not supported on the path")
@@ -429,7 +411,7 @@ class Straightener:
     def _start(self, sigma: int) -> int:
         """The packed pure power f_{1,1bar}^sigma."""
         tables = self._tables
-        return tables.empty + sigma * _unit(tables, tables.start_var)
+        return tables.empty + sigma * tables.units[tables.start_var]
 
     def _straighten_packed(self, weight: tuple[int, ...], s: tuple[int, ...], path,
                            prune: bool = False):

@@ -123,6 +123,21 @@ def test_transfer_messages_and_mapping_input():
         assert transfer(poset, dict(zip(poset.elements, x))) == transfer(poset, x)
 
 
+def test_transfer_rejects_a_key_that_is_not_an_element():
+    poset = fflv_marked_poset("odd", 1, (1,))
+    point = dict(zip(poset.elements, (1, 1, 0, 1, 1)))
+    assert transfer(poset, point) == (1, 0)
+    message = "^order point has a value for junk, which is not an element$"
+    with pytest.raises(ValueError, match=message):
+        transfer(poset, {**point, "junk": 5})
+    with pytest.raises(ValueError, match=r"^order point has a value for \(2,2\), "):
+        transfer(poset, MappingProxyType({**point, L(2, 2): 0, "junk": 5}))
+    # A missing value is named before a key that is not an element.
+    del point[L(1, 1)]
+    with pytest.raises(ValueError, match=r"no value for \(1,1\)"):
+        transfer(poset, {**point, "junk": 5})
+
+
 def test_transfer_accepts_any_mapping():
     # A read-only mapping is a mapping too, not a sequence over the slots.
     poset = fflv_marked_poset("odd", 2, (1, 1))
@@ -377,6 +392,27 @@ def test_n1_formula_values():
         n1_formula(0, ())
     with pytest.raises(ValueError):
         n1_formula(2, (-1,))
+
+
+@pytest.mark.parametrize("k, m, message", [
+    (0, (), "k must be positive"),
+    (-1, (), "k must be positive"),
+    (2, (), "coefficient vector must have length k-1"),
+    (2, (1, 1), "coefficient vector must have length k-1"),
+    (2, (-1,), "coefficients must be nonnegative"),
+    (3, (1, -2), "coefficients must be nonnegative"),
+])
+def test_n1_functions_check_k_and_m_alike(k, m, message):
+    # n1_family_poset once blamed a decreasing marking for a negative
+    # coefficient and the vector's length for k = 0.
+    for call in (n1_formula, lambda k, m: n1_family_poset(k, m, "row1_end")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(k, m)
+
+
+def test_n1_family_poset_names_type_a_elements():
+    names = n1_family_poset(3, (1, 0), "row1_end").to_json()["elements"]
+    assert names[:4] == ["a(1,1)", "a(1,2)", "a(2,2)", "w"]
 
 
 def test_n1_rank_one_counts_match_polytope():

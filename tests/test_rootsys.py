@@ -184,6 +184,10 @@ def test_paths_sorted_canonically():
         assert keys == sorted(keys)
 
 
+def test_path_length_is_its_root_count():
+    assert len(DyckPath("odd", 2, (L(1, 1), L(1, 2), L(1, 2, True), L(2, 2, True)))) == 4
+
+
 def test_path_bounds():
     poset = build_poset("odd", 2)
     paths = {p.labels: p for p in dyck_paths(poset)}

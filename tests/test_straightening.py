@@ -243,6 +243,26 @@ def test_special_derivation_closed_form():
         assert rules == expected
 
 
+def test_bracket_subtracts_both_products():
+    # The special derivation's only bracket partner has a row that is no
+    # generator's column, so its rules never reach the second term.
+    assert straightening._bracket({(1, 2): 1}, {(2, 1): 1}) == {(1, 1): 1, (2, 2): -1}
+
+
+def test_derivation_rules_reject_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown derivation kind 'bogus'$"):
+        Straightener(2).derivation_rules(DerivationId("bogus"))
+
+
+def test_derivation_rules_are_a_fresh_dict():
+    eng = Straightener(2)
+    op = eng.root_derivation(L(1, 1))
+    before = eng.apply_derivation(op, {single(eng, L(1, 2)): 1})
+    eng.derivation_rules(op).clear()
+    assert eng.derivation_rules(op)
+    assert eng.apply_derivation(op, {single(eng, L(1, 2)): 1}) == before
+
+
 def test_apply_derivation_is_a_derivation():
     eng = Straightener(2)
     rng = random.Random(5)
@@ -514,7 +534,7 @@ def test_straighten_rejects_bad_input():
     cases = [
         ((1, 0), (0, 1, 1, 0, 0, 0), rank1, "path belongs to a different poset"),
         ((1, 0), (0, 1, 1, 0, 0), pb, "exponent vector has the wrong shape"),
-        ((1, 0), (0, 1, 1, 0, -1, 1), pb, "exponent vector has the wrong shape"),
+        ((1, 0), (0, 1, 1, 0, -1, 1), pb, "exponent -1 at position 4 is negative"),
         ((1, 0), (0, 0, 0, 0, 1, 1), row2, "path must start at the top-left diagonal root"),
         ((1, 0), (0, 1, 1, 0, 0, 0), diag, "path must end at a barred root"),
         ((1, 0), (0, 1, 0, 0, 1, 0), pb, "exponent vector is not supported on the path"),
@@ -710,6 +730,20 @@ def test_apply_word_rejects_malformed_monomials():
                 call()
 
 
+def test_every_entry_point_names_a_negative_entry():
+    eng = Straightener(2)
+    pb = paths_by_labels(eng)[(L(1, 1), L(1, 2), L(1, 2, True), L(2, 2, True))]
+    s = (0, 1, -2, 0, 0, 3)
+    message = "^exponent -2 at position 2 is negative$"
+    for call in (lambda: eng.straighten((1, 0), s, pb),
+                 lambda: eng.verify((1, 0), s, pb),
+                 lambda: list(eng.verify_many([((1, 0), s, pb)])),
+                 lambda: eng.build_delta_ops(s, pb),
+                 lambda: eng.apply_word((), {s: 1})):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_apply_derivation_ignores_zero_terms():
     eng = Straightener(1)
     special = eng.special_derivation()
@@ -809,8 +843,7 @@ def test_verify_many_matches_verify_on_doctored_rules(monkeypatch):
             return rules
         tables = _rank_tables(n)
         (k, _, c), *rest = rules
-        return ((k, straightening._unit(tables, 2) - straightening._unit(tables, k), c),
-                *rest)
+        return ((k, tables.units[2] - tables.units[k], c), *rest)
 
     for results in doctored_results(monkeypatch, doctored):
         kinds = {failure.kind for failure in results if failure is not None}
