@@ -24,13 +24,13 @@ __version__ = "0.1.0"
 # defining module's current binding.
 _EXPORTS = {
     "rootsys": (
-        "EVEN", "ODD", "Root", "RootLabel", "RootPoset", "DyckPath",
+        "EVEN", "ODD", "Root", "RootLabel", "Counterexample", "RootPoset", "DyckPath",
         "build_poset", "dyck_paths", "path_bound", "wt_deg",
         "fundamental_to_eps", "partition_from_fundamental",
         "fundamental_from_partition",
     ),
     "polytope": (
-        "IneqRow", "InequalitySystem", "Counterexample", "inequalities",
+        "IneqRow", "InequalitySystem", "inequalities",
         "contains", "violated_paths", "enumerate_points", "lattice_points",
         "graded_count", "minkowski_verify", "slice_verify", "ehrhart_counts",
     ),

@@ -31,10 +31,10 @@ from fractions import Fraction
 from itertools import product
 from operator import index as as_int, itemgetter
 
-from .polytope import (
-    Counterexample, frontier_count, order_walk, slack_search, topological_order,
+from .polytope import frontier_count, order_walk, slack_search, topological_order
+from .rootsys import (
+    Counterexample, RootLabel, _Frozen, build_poset, check_weight, fflv_markings,
 )
-from .rootsys import RootLabel, _Frozen, build_poset, check_weight, fflv_markings
 
 
 def _element_name(e) -> str:
@@ -69,14 +69,11 @@ class MarkedPoset(_Frozen):
     )
 
     def __init__(self, elements: tuple, covers: tuple, markings: tuple) -> None:
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "covers", covers)
-        object.__setattr__(self, "markings", markings)
-        index = {e: i for i, e in enumerate(self.elements)}
-        if len(index) != len(self.elements):
+        index = {e: i for i, e in enumerate(elements)}
+        if len(index) != len(elements):
             raise ValueError("duplicate elements")
         marking = [None] * len(index)
-        for e, v in self.markings:
+        for e, v in markings:
             if e not in index:
                 raise ValueError(f"marking on unknown element {_element_name(e)}")
             if marking[index[e]] is not None:
@@ -89,7 +86,7 @@ class MarkedPoset(_Frozen):
                 ) from None
         succ = [[] for _ in index]
         pred = [[] for _ in index]
-        for a, b in self.covers:
+        for a, b in covers:
             if a not in index or b not in index:
                 raise ValueError("cover on unknown element")
             succ[index[a]].append(index[b])
@@ -97,7 +94,7 @@ class MarkedPoset(_Frozen):
         walk = topological_order(pred)
         # Minimal elements first, then maximal ones, each in canonical order.
         for adjacent in (pred, succ):
-            for e, m, near in zip(self.elements, marking, adjacent):
+            for e, m, near in zip(elements, marking, adjacent):
                 if m is None and not near:
                     raise ValueError(
                         f"extremal element {_element_name(e)} is unmarked; "
@@ -112,22 +109,20 @@ class MarkedPoset(_Frozen):
             if up[i] is None:
                 up[i] = above
             elif above < up[i]:
-                name = _element_name(self.elements[i])
+                name = _element_name(elements[i])
                 raise ValueError(f"marking decreases along a chain at {name}")
         # A marked element has floor = bound = its marking, so
         # `polytope._compile` fixes it and folds it into the floors above it;
         # an unmarked one has the least marking as floor.
         position = tuple(sorted(range(len(walk)), key=walk.__getitem__))
         lowest = min((m for m in marking if m is not None), default=0)
-        object.__setattr__(self, "_marking", tuple(marking))
-        object.__setattr__(self, "_succ", tuple(map(tuple, succ)))
-        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
-        object.__setattr__(self, "_plan", (
-            position,
-            tuple(lowest if marking[i] is None else marking[i] for i in walk),
-            tuple(tuple(position[q] for q in pred[i]) for i in walk),
-            tuple(up[i] for i in walk),
-        ))
+        plan = (position,
+                tuple(lowest if marking[i] is None else marking[i] for i in walk),
+                tuple(tuple(position[q] for q in pred[i]) for i in walk),
+                tuple(up[i] for i in walk))
+        super().__init__(elements, covers, markings, _marking=tuple(marking),
+                         _succ=tuple(map(tuple, succ)), _pred=tuple(map(tuple, pred)),
+                         _plan=plan)
 
     @property
     def unmarked(self) -> tuple:
@@ -435,6 +430,10 @@ def n1_report(max_k: int, max_coeff: int) -> dict:
     Each count is `order_count`, which equals the chain-point count by the
     transfer bijection, so no chain is enumerated.
     """
+    if max_k < 1:
+        raise ValueError("max_k must be positive")
+    if max_coeff < 0:
+        raise ValueError("max_coeff must be nonnegative")
     results = []
     for attachment in n1_attachments:
         checked, failure = 0, None

@@ -59,10 +59,11 @@ from collections.abc import Mapping, Set
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement, starmap
-from operator import add
+from operator import add, index as as_int
 from types import MappingProxyType
 
 from .rootsys import (
+    Counterexample,
     DyckPath,
     LatticePoint,
     RootPoset,
@@ -94,26 +95,12 @@ class InequalitySystem(_Frozen):
     __slots__ = ("family", "n", "weight", "rows", "paths", "poset", "_row_support_idx")
     _compared = ("family", "n", "weight", "rows")
 
-    def __init__(
-        self,
-        family: str,
-        n: int,
-        weight: tuple[int, ...],
-        rows: tuple[IneqRow, ...],
-        paths: tuple[DyckPath, ...],
-        poset: RootPoset,
-    ) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "poset", poset)
-        support_idx = tuple(
-            tuple(sorted(self.poset.index(lab) for lab in row.support))
-            for row in self.rows
-        )
-        object.__setattr__(self, "_row_support_idx", support_idx)
+    def __init__(self, family: str, n: int, weight: tuple[int, ...],
+                 rows: tuple[IneqRow, ...], paths: tuple[DyckPath, ...],
+                 poset: RootPoset) -> None:
+        support_idx = tuple(tuple(sorted(map(poset.index, row.support))) for row in rows)
+        super().__init__(family, n, weight, rows, paths, poset,
+                         _row_support_idx=support_idx)
 
     def to_json(self) -> dict:
         return {
@@ -142,14 +129,21 @@ def inequalities(family: str, n: int, weight: tuple[int, ...]) -> InequalitySyst
 
 
 def contains(system: InequalitySystem, s: LatticePoint) -> bool:
-    """Exact membership test for a nonnegative integer point."""
+    """Exact membership test for a nonnegative integer point; an entry
+    that is not an integer raises TypeError, a negative one gives False."""
     return not violated_paths(system, s) and all(x >= 0 for x in s)
 
 
 def violated_paths(system: InequalitySystem, s: LatticePoint) -> tuple[DyckPath, ...]:
-    """Paths whose inequality s violates, in canonical path order."""
+    """Paths whose inequality s violates, in canonical path order; raises for
+    a wrong length, then for the first entry that is not an integer."""
     if len(s) != len(system.poset.roots):
         raise ValueError("point length must match the number of roots")
+    for k, x in enumerate(s):
+        try:
+            as_int(x)
+        except TypeError:
+            raise TypeError(f"coordinate {x!r} at position {k} is not an integer") from None
     out = []
     for path, idxs, row in zip(system.paths, system._row_support_idx, system.rows):
         if sum(s[k] for k in idxs) > row.bound:
@@ -566,15 +560,6 @@ def _clear_caches() -> None:
 # The cache controls, for callers that start each run from an empty cache.
 lattice_points.cache_clear = _clear_caches
 lattice_points.cache_info = _walk_points.cache_info
-
-
-class Counterexample(namedtuple("Counterexample", "kind point")):
-    """A failed check: its kind and the point (or monomial) at fault."""
-
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "point": list(self.point)}
 
 
 def _encode(points, radix: int, top: int) -> list[int]:

@@ -27,10 +27,11 @@ class _Frozen:
     """Base of the package's immutable value classes.
 
     A subclass lists its constructor arguments, then its derived ``_...``
-    fields, in ``__slots__`` and sets them in ``__init__`` through
-    ``object.__setattr__``.  Equality, hash and repr cover the constructor
-    arguments, or the names in ``_compared`` where the subclass sets it;
-    copies and pickles are rebuilt through the constructor.
+    fields, in ``__slots__``; its ``__init__`` computes the derived values
+    and ends in ``super().__init__(*arguments, **derived)``, the one place a
+    field is set.  Equality, hash and repr cover the constructor arguments,
+    or the names in ``_compared`` where the subclass sets it; copies and
+    pickles are rebuilt through the constructor.
     """
 
     __slots__ = ()
@@ -40,6 +41,15 @@ class _Frozen:
         cls._compared = cls.__dict__.get("_compared", cls._fields)
         # An attrgetter is not bound to the instance: call it as _key(obj).
         cls._key = operator.attrgetter(*cls._compared)
+
+    def __init__(self, *args, **derived) -> None:
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} "
+                            f"arguments, got {len(args)}")
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -102,6 +112,15 @@ class Root(namedtuple("Root", "label eps")):
     __slots__ = ()
 
 
+class Counterexample(namedtuple("Counterexample", "kind point")):
+    """A failed check: its kind and the point (or monomial) at fault."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "point": list(self.point)}
+
+
 def _eps_coords(label: RootLabel, n: int) -> tuple[int, ...]:
     i, j, barred = label
     v = [0] * (n + 1)
@@ -131,26 +150,16 @@ class RootPoset(_Frozen):
 
     __slots__ = ("family", "n", "roots", "covers", "_index", "_succ", "_pred")
 
-    def __init__(
-        self,
-        family: str,
-        n: int,
-        roots: tuple[Root, ...],
-        covers: tuple[tuple[int, int], ...],
-    ) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "covers", covers)
-        index = {r.label: k for k, r in enumerate(self.roots)}
-        succ = [[] for _ in self.roots]
-        pred = [[] for _ in self.roots]
-        for a, b in self.covers:
+    def __init__(self, family: str, n: int, roots: tuple[Root, ...],
+                 covers: tuple[tuple[int, int], ...]) -> None:
+        index = {r.label: k for k, r in enumerate(roots)}
+        succ = [[] for _ in roots]
+        pred = [[] for _ in roots]
+        for a, b in covers:
             succ[a].append(b)
             pred[b].append(a)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_succ", tuple(tuple(s) for s in succ))
-        object.__setattr__(self, "_pred", tuple(tuple(p) for p in pred))
+        super().__init__(family, n, roots, covers, _index=index,
+                         _succ=tuple(map(tuple, succ)), _pred=tuple(map(tuple, pred)))
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -213,9 +222,7 @@ class DyckPath(_Frozen):
     __slots__ = ("family", "n", "labels")
 
     def __init__(self, family: str, n: int, labels: tuple[RootLabel, ...]) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
+        super().__init__(family, n, labels)
 
     @property
     def start(self) -> RootLabel:

@@ -46,8 +46,7 @@ from functools import lru_cache
 from operator import index as as_int, mul
 from types import MappingProxyType
 
-from .polytope import Counterexample
-from .rootsys import RootLabel, build_poset, check_weight
+from .rootsys import Counterexample, RootLabel, build_poset, check_weight
 
 # A packed monomial holds each exponent, and 255 minus each row sum, in a byte.
 DEGREE_LIMIT = 255
@@ -320,9 +319,10 @@ class Straightener:
         order, in which all of row n beats row n-1 and so on and within a row
         the rightmost column of the alphabet is largest: the reverse of the
         canonical order.  The key holds every exponent, so it is injective.
+        A malformed s raises through `_degree`, as at every entry point.
         """
         return (
-            sum(s),
+            _degree(s, self.nvars, "exponent vector"),
             tuple(-sum(s[r]) for r in reversed(self._tables.row_slices)),
             tuple(s[::-1]),
         )

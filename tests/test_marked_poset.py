@@ -458,6 +458,14 @@ def test_n1_report():
         n1_family_poset(2, (1, 1), "row1_end")
 
 
+def test_n1_report_refuses_a_sweep_that_checks_nothing():
+    with pytest.raises(ValueError, match="max_k must be positive"):
+        n1_report(0, 0)
+    with pytest.raises(ValueError, match="max_coeff must be nonnegative"):
+        n1_report(3, -1)
+    assert [r["checked"] for r in n1_report(1, 0)["results"]] == [1] * len(n1_attachments)
+
+
 def chain_count_report(max_k, max_coeff):
     """`n1_report` with every count taken as the number of chain points."""
     results = []

@@ -1,6 +1,7 @@
 """Inequality systems, lattice point enumeration, and polytope identities."""
 
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -506,6 +507,20 @@ def test_contains_and_violated_paths():
     assert not contains(system, (-1, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         contains(system, (0, 0))
+
+
+@pytest.mark.parametrize("check", [contains, violated_paths])
+def test_membership_refuses_a_point_that_is_not_integer(check):
+    system = inequalities("odd", 1, (1,))
+    for point, wrong in [((0.5, 0), "0.5 at position 0"),
+                         ((0, Fraction(1)), "Fraction(1, 1) at position 1"),
+                         ((-1, 0.0), "0.0 at position 1")]:
+        with pytest.raises(TypeError, match=re.escape(f"coordinate {wrong} is not an integer")):
+            check(system, point)
+    with pytest.raises(ValueError, match="point length"):
+        check(system, (0.5,))
+    assert contains(system, (1, 0)) and not contains(system, (-1, 0))
+    assert violated_paths(system, (-1, 0)) == () and violated_paths(system, (1, 1))
 
 
 def test_minkowski_small_instances():

@@ -1,7 +1,9 @@
 """Root poset construction, saturated chains, and coordinate systems."""
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from fflv.rootsys import (
     DyckPath,
     RootLabel,
     RootPoset,
+    _Frozen,
     build_poset,
     dyck_paths,
     fundamental_from_partition,
@@ -304,3 +307,28 @@ def test_value_classes_compare_hash_print_and_refuse_assignment():
     assert system == other and hash(system) == hash(other)
     assert system.paths == paths and other.poset is odd2
     assert system != InequalitySystem("odd", 1, (2,), (row,), paths, odd1)
+
+
+def test_frozen_constructor_sets_the_fields_in_order_and_counts_them():
+    path = DyckPath(family="odd", n=1, labels=(L(1, 1),))
+    assert (path.family, path.n, path.labels) == ("odd", 1, (L(1, 1),))
+    poset = object.__new__(RootPoset)
+    _Frozen.__init__(poset, "odd", 1, (), (), _index={}, _succ=(), _pred=())
+    assert poset == RootPoset("odd", 1, (), ()) and len(poset) == 0
+    for cls, args in [(DyckPath, ("odd", 1)), (DyckPath, ("odd", 1, (), None)),
+                      (RootPoset, ("odd",))]:
+        message = f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}"
+        with pytest.raises(TypeError, match=message):
+            _Frozen.__init__(object.__new__(cls), *args)
+
+
+def test_fields_are_set_only_in_the_frozen_constructor():
+    src = Path(__file__).resolve().parent.parent / "src" / "fflv"
+    sites = {path.name: path.read_text().count("object.__setattr__")
+             for path in src.glob("*.py")}
+    frozen = next(node for node in ast.parse((src / "rootsys.py").read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Frozen")
+    init = next(node for node in frozen.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    inside = ast.unparse(init).count("object.__setattr__")
+    assert inside and {name: k for name, k in sites.items() if k} == {"rootsys.py": inside}

@@ -157,6 +157,17 @@ def test_order_key_matches_reference_compare(case):
     assert (eng.order_key(s) == eng.order_key(t)) == (s == t)
 
 
+def test_order_key_checks_the_vector():
+    eng = Straightener(1)
+    assert eng.order_key((2, 1)) == (3, (-3,), (1, 2))
+    with pytest.raises(ValueError, match="exponent vector has the wrong shape"):
+        eng.order_key((1,))
+    with pytest.raises(TypeError, match="exponent 0.5 at position 1 is not an integer"):
+        eng.order_key((1, 0.5))
+    with pytest.raises(ValueError, match="exponent -1 at position 0 is negative"):
+        eng.order_key((-1, 2))
+
+
 def test_succ_compare_degree_rule():
     eng = Straightener(2)
     deg2 = single(eng, L(1, 1), 2)
