@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from operator import index as as_int, itemgetter
 
 from .polytope import frontier_count, order_walk, slack_search, topological_order
 from .rootsys import (
-    Counterexample, RootLabel, _Frozen, build_poset, check_weight, fflv_markings,
+    Counterexample, RootLabel, _Frozen, build_poset, check_weight,
 )
 
 
@@ -287,29 +287,37 @@ def check_transfer(poset: MarkedPoset, order, chain) -> Counterexample | None:
 def fflv_marked_poset(family: str, n: int, weight: tuple[int, ...]) -> MarkedPoset:
     """Root poset with cumulative-sum markings realizing the polytope.
 
-    The markings are those of `rootsys.fflv_markings`: t_i below the initial
-    root of row i, u_j above each diagonal root (j,j) and v_j above each
-    antidiagonal root (j,jbar).  Saturated marked-to-marked chains are then
-    exactly the Dyck paths, and the marking differences telescope to the
-    path bounds, so the chain polytope coincides with the inequality system
-    of the family.
+    Below the first root of row i sits t_i, marked m_1 + ... + m_{i-1};
+    above each diagonal root (j,j) sits u_j, marked m_1 + ... + m_j, and
+    above each antidiagonal root (j,jbar) sits v_j, marked m_1 + ... + m_n.
+    Saturated marked-to-marked chains are then exactly the Dyck paths, and
+    the marking differences telescope to the path bounds, so the chain
+    polytope coincides with the inequality system of the family.  The
+    elements are the roots, then t_1..t_n, u_1.. and v_1..v_n.
     """
     weight = check_weight(family, n, weight)
+    prefix = list(accumulate(weight, initial=0))
     root_poset = build_poset(family, n)
     labels = root_poset.labels()
-    covers = [
-        (labels[a], labels[b]) for a, b in root_poset.covers
-    ]
-    marks = fflv_markings(family, n, weight)
-    for mark in marks:
-        if mark.below:
-            covers.append((mark.element, mark.root))
-        else:
-            covers.append((mark.root, mark.element))
-    elements = tuple(labels) + tuple(mark.element for mark in marks)
-    return MarkedPoset(
-        elements, tuple(covers), tuple((mark.element, mark.value) for mark in marks)
-    )
+    marks = {"t": [], "u": [], "v": []}     # kind -> (root, marking) by row
+    row = 0
+    for lab in labels:
+        if lab.row != row:                  # the first root of its row
+            row = lab.row
+            marks["t"].append((lab, prefix[row - 1]))
+        if lab.row == lab.col:
+            marks["v" if lab.barred else "u"].append(
+                (lab, prefix[n if lab.barred else row]))
+    elements = list(labels)
+    covers = [(labels[a], labels[b]) for a, b in root_poset.covers]
+    markings = []
+    for kind, roots in marks.items():
+        for root, value in roots:
+            e = (kind, root.row)
+            elements.append(e)
+            covers.append((e, root) if kind == "t" else (root, e))
+            markings.append((e, value))
+    return MarkedPoset(tuple(elements), tuple(covers), tuple(markings))
 
 
 def _check_n1_case(k: int, m: tuple[int, ...]) -> None:

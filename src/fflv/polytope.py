@@ -4,15 +4,16 @@ One inequality per symplectic Dyck path: the coordinates along the path sum
 to at most the path bound.  All arithmetic is exact integer arithmetic.
 
 `lattice_points` enumerates through the marked order polytope of the root
-poset (`rootsys.fflv_markings`): it walks the roots in canonical row-major
-order, a linear extension, giving each root an order value between the
-largest value below it and the least marking above it, and emits the chain
-coordinates value - (largest value below), which is the transfer map onto
-the polytope.  Every such value extends to a full point, so the walk never
-backtracks, and points come out in lexicographic order.  It builds no Dyck
-path.  `enumerate_points` is the independent oracle: `slack_search` runs an
-odometer over the path inequalities, each row a tuple of coordinates, and
-raises a coordinate only while every row through it has slack left.
+poset (`marked_poset.fflv_marked_poset`): it walks the roots in canonical
+row-major order, a linear extension, giving each root an order value
+between the largest value below it and the least marking above it, and
+emits the chain coordinates value - (largest value below), which is the
+transfer map onto the polytope.  Every such value extends to a full point,
+so the walk never backtracks, and points come out in lexicographic order.
+It builds no Dyck path.  `enumerate_points` is the independent oracle:
+`slack_search` runs an odometer over the path inequalities, each row a
+tuple of coordinates, and raises a coordinate only while every row through
+it has slack left.
 
 Each root's floor and bound are prefix sums m_1 + ... + m_i of the weight
 whose indices are read off its label (i, j): floor index i - 1, bound index
@@ -396,12 +397,12 @@ def frontier_count(floor, preds, up, steps=None):
 def _prefix_plan(family: str, n: int):
     """The root poset, and each root's floor index, predecessors and bound index.
 
-    Every FFLV marking is a prefix sum m_1 + ... + m_i of the weight, with
-    i its prefix index (`rootsys.fflv_markings`), so the indices are read
-    off the labels.  A root (i, j) sits above t_i, whose index is i - 1.
-    Its bound is the least marking weakly above it, the one of least index
-    since prefix sums never decrease: u_j at (j, j), index j, when the root
-    is unbarred, and a v marking, index n, when it is barred.  The root
+    Every FFLV marking (`marked_poset.fflv_marked_poset`) is a prefix sum
+    m_1 + ... + m_i of the weight, with i its prefix index, so the indices
+    are read off the labels.  A root (i, j) sits above t_i, whose index is
+    i - 1.  Its bound is the least marking weakly above it, the one of least
+    index since prefix sums never decrease: u_j at (j, j), index j, when the
+    root is unbarred, and a v marking, index n, when it is barred.  The root
     order is a linear extension; covers point forward in it.
     """
     poset = build_poset(family, n)

@@ -247,18 +247,10 @@ class DyckPath(_Frozen):
         return [lab.to_json() for lab in self.labels]
 
 
-def _start_labels(family: str, n: int) -> list[RootLabel]:
-    if family == ODD:
-        return [RootLabel(i, i, False) for i in range(1, n + 1)]
-    starts = [RootLabel(i, i, False) for i in range(1, n)]
-    starts.append(RootLabel(n, n, True))
-    return starts
-
-
 def dyck_paths(poset: RootPoset) -> tuple[DyckPath, ...]:
     """All symplectic Dyck paths, in canonical order.
 
-    A path starts at a row-initial element (alpha_{i,i}, or alpha_{n,nbar}
+    A path starts at the first root of a row (alpha_{i,i}, or alpha_{n,nbar}
     in the even family's last row) and ends at any alpha_{j,j} or
     alpha_{j,jbar} it reaches; single-element paths are allowed.
     """
@@ -274,8 +266,11 @@ def dyck_paths(poset: RootPoset) -> tuple[DyckPath, ...]:
             extend(nxt)
         chain.pop()
 
-    for start in _start_labels(poset.family, poset.n):
-        extend(poset.index(start))
+    row = 0
+    for k, root in enumerate(poset.roots):
+        if root.label.row != row:           # the first root of its row
+            row = root.label.row
+            extend(k)
     found.sort()
     return tuple(
         DyckPath(poset.family, poset.n, tuple(poset.roots[k].label for k in ix))
@@ -294,39 +289,6 @@ def path_bound(path: DyckPath, weight: tuple[int, ...]) -> int:
     if path.end_class == "diagonal":
         return sum(weight[i - 1 : path.end.col])
     return sum(weight[i - 1 :])
-
-
-class Marking(namedtuple("Marking", "element value root below")):
-    """A marked element of the FFLV marked poset and the root it is attached
-    to: element is ("t", i), ("u", j) or ("v", j), and below is True for
-    t_i, which sits below its root."""
-
-    __slots__ = ()
-
-
-def fflv_markings(family: str, n: int, weight: tuple[int, ...]) -> tuple[Marking, ...]:
-    """Cumulative-sum markings that realize the polytope as a marked chain polytope.
-
-    Below the initial root of row i sits t_i with marking m_1 + ... + m_{i-1};
-    above each diagonal root (j,j) sits u_j with marking m_1 + ... + m_j;
-    above each barred root (j,jbar) sits v_j with marking m_1 + ... + m_n.
-    The marking differences along a Dyck path telescope to its path bound.
-    """
-    diag_max = n if family == ODD else n - 1
-    total = sum(weight)
-    marks = [
-        Marking(("t", i), sum(weight[: i - 1]), start, True)
-        for i, start in enumerate(_start_labels(family, n), start=1)
-    ]
-    marks += [
-        Marking(("u", j), sum(weight[:j]), RootLabel(j, j, False), False)
-        for j in range(1, diag_max + 1)
-    ]
-    marks += [
-        Marking(("v", j), total, RootLabel(j, j, True), False)
-        for j in range(1, n + 1)
-    ]
-    return tuple(marks)
 
 
 def wt_deg(poset: RootPoset, s: LatticePoint) -> tuple[Weight, int]:

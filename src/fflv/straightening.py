@@ -94,10 +94,12 @@ def _bracket(x: dict, y: dict) -> dict:
 
 def _derivation_rules(n: int, op: DerivationId) -> dict[int, tuple[int, int]]:
     """Action of op on the rank-n generators: variable index -> (target
-    index, coefficient)."""
+    index, coefficient).  A root that is no even-family positive root of
+    rank n, and a special derivation that carries a root, raise ValueError."""
     odd = build_poset("odd", n)
     rules: dict[int, tuple[int, int]] = {}
     if op.kind == "root":
+        _root_op(n, op.root)
         even = build_poset("even", n)
         alpha = even.roots[even.index(op.root)].eps
         eps_to_var = {r.eps: k for k, r in enumerate(odd.roots)}
@@ -106,6 +108,8 @@ def _derivation_rules(n: int, op: DerivationId) -> dict[int, tuple[int, int]]:
             if tgt is not None:
                 rules[k] = (tgt, 1)
     elif op.kind == "special":
+        if op.root is not None:
+            raise ValueError(f"the special derivation carries no root, got {op.root}")
         # A generator's anchor is the first entry of its matrix, a position
         # no other generator occupies; the lowest-index anchor hit wins.
         labels = odd.labels()
@@ -353,11 +357,23 @@ class Straightener:
         return self.apply_word(((op, 1),), poly)
 
     def apply_word(self, word, poly: dict) -> dict:
-        """Apply a displayed operator word, rightmost factor first.  Zero
-        terms are dropped before a monomial's shape, entries and degree are
+        """Apply a displayed operator word, rightmost factor first.  Each
+        power is checked first: one that is not an integer raises TypeError
+        and a negative one ValueError, each naming its factor.  Zero terms
+        are dropped before a monomial's shape, entries and degree are
         checked; an entry that is not an integer raises TypeError and a
         negative one ValueError, each naming its position."""
-        factors = [(_packed_rules(self.n, op), 0, exp) for op, exp in reversed(tuple(word))]
+        factors = []
+        for j, (op, power) in enumerate(word):
+            try:
+                power = as_int(power)
+            except TypeError:
+                raise TypeError(
+                    f"power {power!r} of word factor {j} is not an integer") from None
+            if power < 0:
+                raise ValueError(f"power {power} of word factor {j} is negative")
+            factors.append((_packed_rules(self.n, op), 0, power))
+        factors.reverse()
         packed = {}
         for mono, coeff in poly.items():
             if not coeff:

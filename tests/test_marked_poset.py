@@ -1,5 +1,6 @@
 """Marked posets: order/chain points, transfer, and the rank-one family."""
 
+import hashlib
 import random
 from itertools import product
 from types import MappingProxyType
@@ -44,6 +45,33 @@ def test_rank1_odd_realization():
     assert len(order_points(poset)) == 6
     assert len(chain_points(poset)) == 6
     assert abs_verify(poset) is None
+
+
+# SHA-256 of the repr of (elements, covers, markings) of fflv_marked_poset
+# at the zero weight, the all-ones weight and (2, 1, 0, 3, 2)[:n], in that
+# order.  Element order fixes the coordinate order of every order point and
+# counterexample, so it is pinned along with the covers and markings.
+PINNED_FFLV_POSET_SHA256 = [
+    (("odd", 1), "103f74efd80360d483958ac9a060d611942140f711a7857dd723e1f6955c5e57"),
+    (("odd", 2), "101d03f3aeef8235128ac594d22bfffe873c7e8cf0afaec39946929b70558f27"),
+    (("odd", 3), "cc3a27035b3893852c5437faa5a4fa8e0bd07dd0ac40dd1cab01eef0122c0581"),
+    (("odd", 4), "7781a69843c118c71964f7b39a029226a924c52d660afa9d01cd0c801670588e"),
+    (("odd", 5), "8db9fbc01da218d4173a5a06556c452c306decdcc5be18eafeee68d4b7bd8173"),
+    (("even", 1), "4b123d163474a7a9cea6a0f4c3a1661baee77dc5d1ad5d7ac0fa0465463db979"),
+    (("even", 2), "d12adcb09788806af74c7bb8f00f700b50e559cbdd4028d8955b57a96ce35e34"),
+    (("even", 3), "9f4c56b243489311ccb4f299fe15a933d03b8afe3460da7629ff109bc85c234e"),
+    (("even", 4), "12449c045b1686c10337acc193bc0c2fc581969ea76987a0901ac7db32e19022"),
+    (("even", 5), "64a9023dff0aa1234d09ff3c0457a8c6bbb86b29ee0334b34ae9a70495f09fcd"),
+]
+
+
+@pytest.mark.parametrize("case, digest", PINNED_FFLV_POSET_SHA256)
+def test_fflv_marked_poset_pinned(case, digest):
+    family, n = case
+    weights = [(0,) * n, (1,) * n, (2, 1, 0, 3, 2)[:n]]
+    posets = [fflv_marked_poset(family, n, w) for w in weights]
+    text = repr([(p.elements, p.covers, p.markings) for p in posets])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_rank1_chain_constraints():

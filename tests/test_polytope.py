@@ -30,7 +30,7 @@ from fflv.polytope import (
     slice_verify,
     violated_paths,
 )
-from fflv.rootsys import RootLabel, build_poset, fflv_markings
+from fflv.rootsys import RootLabel, build_poset
 from enumeration import flat_counts
 
 
@@ -255,18 +255,20 @@ def reference_walk(floor, preds, up, chain):
 
 
 def reference_plan(family, n, weight):
-    """The walk plan read from the markings of the weight itself: each
+    """The walk plan read from the marked poset of the weight itself: each
     root's floor is its row's t_i marking, its bound the least marking
     weakly above it."""
     poset = build_poset(family, n)
+    marked = fflv_marked_poset(family, n, weight)
+    value = dict(marked.markings)
     ncoord = len(poset.roots)
     row_floor = {}
     cap = [None] * ncoord
-    for mark in fflv_markings(family, n, weight):
-        if mark.below:
-            row_floor[mark.root.row] = mark.value
-        else:
-            cap[poset.index(mark.root)] = mark.value
+    for a, b in marked.covers:
+        if a in value:          # t_i below the first root of its row
+            row_floor[b.row] = value[a]
+        elif b in value:        # u_j or v_j above its root
+            cap[poset.index(a)] = value[b]
     floor = [row_floor[root.label.row] for root in poset.roots]
     preds = [poset.predecessors(k) for k in range(ncoord)]
     up = [0] * ncoord

@@ -265,6 +265,23 @@ def test_derivation_rules_reject_unknown_kind():
         Straightener(2).derivation_rules(DerivationId("bogus"))
 
 
+def test_derivation_from_another_rank_names_its_root():
+    # A derivation of rank 3 used at rank 2 once raised a bare KeyError.
+    eng = Straightener(2)
+    foreign = Straightener(3).root_derivation(L(1, 2))
+    message = f"^{re.escape('(1,2) is not an even-family positive root')}$"
+    for call in (lambda: eng.derivation_rules(foreign),
+                 lambda: eng.apply_derivation(foreign, {single(eng, L(1, 1)): 1}),
+                 lambda: eng.apply_word(((foreign, 1),), {})):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match="^None is not an even-family positive root$"):
+        eng.derivation_rules(DerivationId("root"))
+    with pytest.raises(ValueError, match=re.escape(
+            "the special derivation carries no root, got (1,1)")):
+        eng.derivation_rules(DerivationId("special", L(1, 1)))
+
+
 def test_derivation_rules_are_a_fresh_dict():
     eng = Straightener(2)
     op = eng.root_derivation(L(1, 1))
@@ -316,6 +333,26 @@ def test_derivations_shift_weight_homogeneously():
             wt_out, deg_out = wt_deg(eng.poset, mono)
             assert deg_out == deg_in
             assert tuple(a - b for a, b in zip(wt_in, wt_out)) == shift
+
+
+def test_apply_word_checks_each_power_first():
+    eng = Straightener(2)
+    d11 = eng.root_derivation(L(1, 1))
+    p = {single(eng, L(1, 1, True)): 1}
+    # A negative power was once the identity, and 1.5 raised range()'s error.
+    for word, error, message in (
+        (((d11, -1),), ValueError, "power -1 of word factor 0 is negative"),
+        (((d11, 1), (d11, 1.5)), TypeError,
+         "power 1.5 of word factor 1 is not an integer"),
+        (((d11, "2"),), TypeError, "power '2' of word factor 0 is not an integer"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            eng.apply_word(word, p)
+    # The powers are checked before the monomials.
+    with pytest.raises(ValueError, match="power -2"):
+        eng.apply_word(((d11, -2),), {(1, 2, 3): 1})
+    assert eng.apply_word(((d11, 0),), p) == p
+    assert eng.apply_word(((d11, 0), (eng.special_derivation(), 0)), p) == p
 
 
 def test_apply_word_is_right_to_left():
