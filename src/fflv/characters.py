@@ -93,7 +93,7 @@ class GradedCharacter:
             del self.terms[weight]
 
     def total_dim(self) -> int:
-        return sum(p.at_one() for p in self.terms.values())
+        return sum(sum(p.coeffs.values()) for p in self.terms.values())
 
     def qdim(self) -> QPolynomial:
         out = Counter()

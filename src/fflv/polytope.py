@@ -500,21 +500,27 @@ def add_graded_terms(family: str, n: int, weight: tuple[int, ...], shift,
 
     ``terms`` maps eps-weights to {deg: count}; a weight it lacks gets a
     dict made here, so the caller owns every dict in it.  Each cached key of
-    `_graded_count` is split once, and each weight code decoded once: digit
-    c is wt_c + B_c, so the term's weight is shift_c + B_c - digit_c.
+    `_graded_count` is split once and grouped by weight code with one lookup,
+    and each code is decoded once: digit c is wt_c + B_c, so the weight is
+    shift_c + B_c - digit_c, and the last digit is what the divisions leave.
     """
     counts, size, zero, radices, bounds = _graded_count(family, n, weight)
     offset = zero + deg_shift * size
     by_code: dict[int, dict[int, int]] = {}
+    get = by_code.get
     for key, c in counts.items():
         deg, code = divmod(key + offset, size)
-        by_code.setdefault(code, {})[deg] = c   # one key per (code, degree)
-    tops = [s + b for s, b in zip(shift, bounds)]
+        if (degs := get(code)) is None:
+            by_code[code] = {deg: c}
+        else:
+            degs[deg] = c   # one key per (code, degree)
+    *digits, (_, last) = zip(radices, map(add, shift, bounds))
     for code, degs in by_code.items():
         wt = []
-        for r, top in zip(radices, tops):
+        for r, top in digits:
             code, digit = divmod(code, r)
             wt.append(top - digit)
+        wt.append(last - code)
         acc = terms.setdefault(tuple(wt), degs)
         if acc is not degs:     # an earlier call reached this weight: add
             for deg, c in degs.items():

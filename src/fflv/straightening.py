@@ -53,16 +53,20 @@ DEGREE_LIMIT = 255
 
 
 class DerivationId(namedtuple("DerivationId", "kind root", defaults=(None,))):
-    """Either subtraction of an even-family positive root (kind "root", with
-    the root) or the special derivation (kind "special", root None: bracket
-    with the matrix unit at the bottom middle)."""
+    """Subtraction of an even-family positive root (kind "root", root a
+    RootLabel, checked by every constructor) or the special derivation (kind
+    "special", root None: bracket with the matrix unit at the bottom middle)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace checks too
+
+    def __new__(cls, kind, root=None):
+        if kind == "root" and root is not None and not isinstance(root, RootLabel):
+            raise ValueError(f"root {root!r} of a derivation is not a RootLabel")
+        return super().__new__(cls, kind, root)
 
     def __str__(self) -> str:
-        if self.kind == "special":
-            return "d_special"
-        return f"d{self.root}"
+        return "d_special" if self.kind == "special" else f"d{self.root}"
 
 
 def _matrix(label: RootLabel, n: int) -> dict[tuple[int, int], int]:
@@ -235,7 +239,7 @@ def _rank_tables(n: int) -> _RankTables:
 
 def _root_op(n: int, label: RootLabel) -> DerivationId:
     if label not in build_poset("even", n):
-        raise ValueError(f"{label} is not an even-family positive root")
+        raise ValueError(f"{label} is not an even-family positive root of rank {n}")
     return DerivationId("root", label)
 
 

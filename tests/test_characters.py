@@ -1,5 +1,6 @@
 """Graded characters, branching sums, and dimension formulas."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -299,6 +300,30 @@ def test_characters_own_their_terms():
         char.add_term((9,) * len(weight), 1)
         assert build() == reference()
         assert build() != char
+
+
+def test_total_dim_sums_every_coefficient():
+    def check(char):
+        total = char.total_dim()
+        assert total == sum(p.at_one() for p in char.terms.values())
+        assert total == char.qdim().at_one()
+        return total
+
+    assert check(GradedCharacter()) == 0
+    char = GradedCharacter()
+    char.add_term((1, 0), 0, 3)
+    char.add_term((1, 0), 2, -5)
+    char.add_term((0, 1), 1, 2)
+    char.add_term((0, 1), 1, -2)    # cancels, so the weight is dropped
+    char.add_term((2, -1), 4, -1)
+    assert (0, 1) not in char.terms
+    assert check(char) == -3
+    poly = QPolynomial()
+    poly.coeffs = Counter({0: 4, 1: -1, 2: 0})
+    char.terms[(5, 5)] = poly
+    assert check(char) == 0
+    assert check(qchar_polytope("odd", 2, (1, 1))) == 35
+    assert check(qchar_branching(2, (2, 1))) == dim("odd", 2, (2, 1))
 
 
 def test_dim_rejects_rank_below_one_on_every_method():

@@ -269,17 +269,41 @@ def test_derivation_from_another_rank_names_its_root():
     # A derivation of rank 3 used at rank 2 once raised a bare KeyError.
     eng = Straightener(2)
     foreign = Straightener(3).root_derivation(L(1, 2))
-    message = f"^{re.escape('(1,2) is not an even-family positive root')}$"
+    message = f"^{re.escape('(1,2) is not an even-family positive root of rank 2')}$"
     for call in (lambda: eng.derivation_rules(foreign),
                  lambda: eng.apply_derivation(foreign, {single(eng, L(1, 1)): 1}),
                  lambda: eng.apply_word(((foreign, 1),), {})):
         with pytest.raises(ValueError, match=message):
             call()
-    with pytest.raises(ValueError, match="^None is not an even-family positive root$"):
+    with pytest.raises(ValueError, match="^None is not an even-family positive root of rank 2$"):
         eng.derivation_rules(DerivationId("root"))
     with pytest.raises(ValueError, match=re.escape(
             "the special derivation carries no root, got (1,1)")):
         eng.derivation_rules(DerivationId("special", L(1, 1)))
+
+
+def test_derivation_root_must_be_a_root_label():
+    # A plain tuple equals its RootLabel, so it would share the rule cache
+    # entry of the labelled derivation; it is refused whichever comes first.
+    eng = Straightener(2)
+    mono = {single(eng, L(1, 2)): 1}
+    labelled = eng.root_derivation(L(1, 1))
+    expected = eng.apply_derivation(labelled, mono)
+    assert expected
+    message = "^" + re.escape("root (1, 1, False) of a derivation is not a RootLabel") + "$"
+    for label_first in (True, False):
+        straightening._packed_rules.cache_clear()
+        if label_first:
+            assert eng.apply_derivation(labelled, mono) == expected
+        with pytest.raises(ValueError, match=message):
+            eng.apply_derivation(DerivationId("root", (1, 1, False)), mono)
+        assert eng.apply_derivation(labelled, mono) == expected
+    with pytest.raises(ValueError, match=message):
+        DerivationId._make(("root", (1, 1, False)))
+    with pytest.raises(ValueError, match=re.escape("root (1, 2, False) of")):
+        labelled._replace(root=(1, 2, False))
+    assert labelled._replace(root=L(1, 2, True)) == eng.root_derivation(L(1, 2, True))
+    assert str(labelled) == "d(1,1)"
 
 
 def test_derivation_rules_are_a_fresh_dict():
