@@ -11,7 +11,7 @@ The package is organized bottom-up:
   straightening derivation operators and leading-term verification
   cli           command-line interface
 
-All arithmetic is exact (integers and fractions); no third-party
+All arithmetic is exact and in integers only; no third-party
 dependencies are required.
 """
 

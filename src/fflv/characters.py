@@ -20,6 +20,7 @@ from operator import sub
 from .polytope import add_graded_terms, lattice_points, point_count
 from .rootsys import (
     Weight,
+    check_ints,
     check_weight,
     fundamental_from_partition,
     fundamental_to_eps,
@@ -131,10 +132,11 @@ def interlace_set(part: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def weyl_dim(n: int, mu: tuple[int, ...]) -> int:
-    """Dimension of the sp_{2n} irreducible with highest weight mu (partition)."""
+    """Dimension of the sp_{2n} irreducible with highest weight mu (partition);
+    a part that is not an integer raises TypeError naming its position."""
     if len(mu) > n:
         raise ValueError("too many parts")
-    padded = tuple(mu) + (0,) * (n - len(mu))
+    padded = check_ints(mu, "part") + (0,) * (n - len(mu))
     if any(x < 0 for x in padded) or any(
         a < b for a, b in zip(padded, padded[1:])
     ):

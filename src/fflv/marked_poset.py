@@ -27,13 +27,12 @@ and no point.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from itertools import accumulate, product
 from operator import index as as_int, itemgetter
 
 from .polytope import frontier_count, order_walk, slack_search, topological_order
 from .rootsys import (
-    Counterexample, RootLabel, _Frozen, build_poset, check_weight,
+    Counterexample, RootLabel, _Frozen, build_poset, check_ints, check_weight,
 )
 
 
@@ -320,83 +319,69 @@ def fflv_marked_poset(family: str, n: int, weight: tuple[int, ...]) -> MarkedPos
     return MarkedPoset(tuple(elements), tuple(covers), tuple(markings))
 
 
-def _check_n1_case(k: int, m: tuple[int, ...]) -> None:
-    """Raise ValueError unless (k, m) is a rank-one family case."""
+def _check_n1_case(k: int, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(k, m) read with `operator.index`; raise unless it is a rank-one family case."""
+    k, m = as_int(k), check_ints(m, "coefficient")
     if k < 1:
         raise ValueError("k must be positive")
     if len(m) != k - 1:
         raise ValueError("coefficient vector must have length k-1")
     if any(x < 0 for x in m):
         raise ValueError("coefficients must be nonnegative")
+    return k, m
 
 
 def n1_formula(k: int, m: tuple[int, ...]) -> int:
     """Product formula with one extra linear factor in front.
 
     ((k + sum i*m_i) / k) * prod_{1<=i<=j<=k-1} (m_i+...+m_j + j-i+1)/(j-i+1),
-    evaluated exactly; the result is asserted to be an integer.  The product
-    alone counts the chain points of the type-A poset with k-1 coefficient
-    slots; the for-free factor is what the extra poset element must buy.
+    as one integer numerator over one integer denominator; a remainder
+    raises ArithmeticError.  The product alone counts the chain points of
+    the type-A poset with k-1 coefficient slots; the front factor is what
+    the extra poset element must buy.
     """
-    _check_n1_case(k, m)
-    val = Fraction(k + sum(i * x for i, x in enumerate(m, start=1)), k)
-    for i in range(1, k):
-        for j in range(i, k):
-            val *= Fraction(sum(m[i - 1 : j]) + j - i + 1, j - i + 1)
-    if val.denominator != 1:
+    k, m = _check_n1_case(k, m)
+    num, den = k + sum(i * x for i, x in enumerate(m, start=1)), k
+    for i in range(k - 1):      # segment = m_(i+1) + ... + m_(i+length)
+        segment = 0
+        for length, x in enumerate(m[i:], start=1):
+            segment += x
+            num *= segment + length
+            den *= length
+    val, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError("formula value is not integral")
-    return int(val)
+    return val
 
 
-n1_attachments: tuple[str, ...] = (
-    "below_first",
-    "above_first",
-    "parallel_first",
-    "below_last",
-    "above_last",
-    "row1_end",
-)
+# Where `n1_family_poset` puts the extra element w for k >= 2: w covers a and
+# is covered by b, and with True replaces the cover a -> b, with False runs
+# beside the covers.  A row or column -1 is the last one, k - 1.
+_N1_PLACEMENT = {
+    "below_first": (("t", 1), ("a", 1, 1), True),
+    "above_first": (("a", 1, 1), ("u", 1), True),
+    "parallel_first": (("t", 1), ("u", 1), False),
+    "below_last": (("t", -1), ("a", -1, -1), True),
+    "above_last": (("a", -1, -1), ("u", -1), True),
+    "row1_end": (("a", 1, -1), ("u", -1), False),
+}
+n1_attachments: tuple[str, ...] = tuple(_N1_PLACEMENT)
 
 
-def _type_a_base(k: int, m: tuple[int, ...]):
-    """Type-A chain poset with cumulative markings for k-1 coefficients.
+def n1_family_poset(k: int, m: tuple[int, ...], attachment: str) -> MarkedPoset:
+    """Type-A marked poset plus one extra unmarked element w.
 
-    Elements ("a", i, j) for 1 <= i <= j <= k-1 with row and column covers;
-    marked ("t", i) below each ("a", i, i) and ("u", j) above each
-    ("a", j, j), so marked-to-marked chains bound the row segments by
-    m_i + ... + m_j.
-    """
-    elements: list = []
-    covers: list = []
-    for i in range(1, k):
-        for j in range(i, k):
-            elements.append(("a", i, j))
-            if j + 1 < k:
-                covers.append((("a", i, j), ("a", i, j + 1)))
-            if i + 1 <= j:
-                covers.append((("a", i, j), ("a", i + 1, j)))
-    marked = []
-    for i in range(1, k):
-        marked.append((("t", i), sum(m[: i - 1])))
-        covers.append((("t", i), ("a", i, i)))
-        marked.append((("u", i), sum(m[:i])))
-        covers.append((("a", i, i), ("u", i)))
-    return elements, covers, marked
-
-
-def n1_family_poset(
-    k: int, m: tuple[int, ...], attachment: str
-) -> MarkedPoset:
-    """Type-A marked poset plus one extra unmarked element.
-
-    The position of the extra element is not pinned down a priori;
-    ``attachment`` selects one of the structurally distinct candidates,
-    and `n1_report` determines experimentally which of them reproduces
-    `n1_formula`.
+    The type-A part has elements ("a", i, j) for 1 <= i <= j <= k-1 with row
+    and column covers, marked ("t", i) below each ("a", i, i) and ("u", j)
+    above each ("a", j, j), so marked-to-marked chains bound the row
+    segments by m_i + ... + m_j.  The position of w is not pinned down a
+    priori; ``attachment`` selects one of the structurally distinct
+    candidates in `_N1_PLACEMENT`, and `n1_report` determines
+    experimentally which of them reproduces `n1_formula`.
     """
     if attachment not in n1_attachments:
         raise ValueError(f"unknown attachment {attachment!r}")
-    _check_n1_case(k, m)
+    k, m = _check_n1_case(k, m)
     if k == 1:
         # No roots at all: every candidate degenerates to a single element
         # pinched between two zero markings.
@@ -405,28 +390,24 @@ def n1_family_poset(
             ((("t", 1), "w"), ("w", ("u", 0))),
             ((("t", 1), 0), (("u", 0), 0)),
         )
-    elements, covers, marked = _type_a_base(k, m)
-
-    def insert_between(a, b):
+    elements, covers, marked = [], [], []
+    for i in range(1, k):
+        for j in range(i, k):
+            elements.append(("a", i, j))
+            if j + 1 < k:
+                covers.append((("a", i, j), ("a", i, j + 1)))
+            if i + 1 <= j:
+                covers.append((("a", i, j), ("a", i + 1, j)))
+    for i in range(1, k):
+        marked += [(("t", i), sum(m[: i - 1])), (("u", i), sum(m[:i]))]
+        covers += [(("t", i), ("a", i, i)), (("a", i, i), ("u", i))]
+    *ends, replaces = _N1_PLACEMENT[attachment]
+    # Rows and columns run over 1..k-1, so % k keeps them and sends -1 to k-1.
+    a, b = ((kind, *(i % k for i in rows)) for kind, *rows in ends)
+    if replaces:
         covers.remove((a, b))
-        covers.append((a, "w"))
-        covers.append(("w", b))
-
-    if attachment == "below_first":
-        insert_between(("t", 1), ("a", 1, 1))
-    elif attachment == "above_first":
-        insert_between(("a", 1, 1), ("u", 1))
-    elif attachment == "parallel_first":
-        covers.append((("t", 1), "w"))
-        covers.append(("w", ("u", 1)))
-    elif attachment == "below_last":
-        insert_between(("t", k - 1), ("a", k - 1, k - 1))
-    elif attachment == "above_last":
-        insert_between(("a", k - 1, k - 1), ("u", k - 1))
-    else:  # row1_end: hang w off the end of the first row
-        covers.append((("a", 1, k - 1), "w"))
-        covers.append(("w", ("u", k - 1)))
-    elements = elements + ["w"] + [e for e, _ in marked]
+    covers += [(a, "w"), ("w", b)]
+    elements += ["w"] + [e for e, _ in marked]
     return MarkedPoset(tuple(elements), tuple(covers), tuple(marked))
 
 

@@ -60,7 +60,7 @@ from collections.abc import Mapping, Set
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement, starmap
-from operator import add, index as as_int
+from operator import add
 from types import MappingProxyType
 
 from .rootsys import (
@@ -71,6 +71,7 @@ from .rootsys import (
     Weight,
     _Frozen,
     build_poset,
+    check_ints,
     check_weight,
     dyck_paths,
     path_bound,
@@ -140,11 +141,7 @@ def violated_paths(system: InequalitySystem, s: LatticePoint) -> tuple[DyckPath,
     a wrong length, then for the first entry that is not an integer."""
     if len(s) != len(system.poset.roots):
         raise ValueError("point length must match the number of roots")
-    for k, x in enumerate(s):
-        try:
-            as_int(x)
-        except TypeError:
-            raise TypeError(f"coordinate {x!r} at position {k} is not an integer") from None
+    check_ints(s, "coordinate")
     out = []
     for path, idxs, row in zip(system.paths, system._row_support_idx, system.rows):
         if sum(s[k] for k in idxs) > row.bound:

@@ -91,6 +91,18 @@ def check_weight(family: str, n: int, weight) -> tuple[int, ...]:
     return weight
 
 
+def check_ints(values, what: str) -> tuple[int, ...]:
+    """The values read with `operator.index`; the first one that is not an
+    integer raises TypeError naming it and its position."""
+    out = []
+    for k, x in enumerate(values):
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise TypeError(f"{what} {x!r} at position {k} is not an integer") from None
+    return tuple(out)
+
+
 class RootLabel(namedtuple("RootLabel", "row col barred", defaults=(False,))):
     """Poset position (row, col); barred marks the second half of the alphabet."""
 
@@ -271,7 +283,8 @@ def dyck_paths(poset: RootPoset) -> tuple[DyckPath, ...]:
         if root.label.row != row:           # the first root of its row
             row = root.label.row
             extend(k)
-    found.sort()
+    # Row starts ascend and `_build_poset` sorts the covers, so successors
+    # ascend too: the depth-first search emits the paths in sorted order.
     return tuple(
         DyckPath(poset.family, poset.n, tuple(poset.roots[k].label for k in ix))
         for ix in found
@@ -292,9 +305,11 @@ def path_bound(path: DyckPath, weight: tuple[int, ...]) -> int:
 
 
 def wt_deg(poset: RootPoset, s: LatticePoint) -> tuple[Weight, int]:
-    """Weight sum(s_a * a) in eps-coordinates and total degree sum(s_a)."""
+    """Weight sum(s_a * a) in eps-coordinates and total degree sum(s_a); raises
+    for a wrong length, then for the first entry that is not an integer."""
     if len(s) != len(poset.roots):
         raise ValueError("point length must match the number of roots")
+    check_ints(s, "coordinate")
     wt = [0] * (poset.n + 1)
     for c, root in zip(s, poset.roots):
         if c:

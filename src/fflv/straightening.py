@@ -46,7 +46,7 @@ from functools import lru_cache
 from operator import index as as_int, mul
 from types import MappingProxyType
 
-from .rootsys import Counterexample, RootLabel, build_poset, check_weight
+from .rootsys import Counterexample, RootLabel, build_poset, check_ints, check_weight
 
 # A packed monomial holds each exponent, and 255 minus each row sum, in a byte.
 DEGREE_LIMIT = 255
@@ -184,11 +184,7 @@ def _degree(s, nvars: int, noun: str) -> int:
     for the first entry that is not an integer, then for the first negative."""
     if len(s) != nvars:
         raise ValueError(f"{noun} has the wrong shape")
-    for k, x in enumerate(s):
-        try:
-            as_int(x)
-        except TypeError:
-            raise TypeError(f"exponent {x!r} at position {k} is not an integer") from None
+    check_ints(s, "exponent")
     for k, x in enumerate(s):
         if x < 0:
             raise ValueError(f"exponent {x!r} at position {k} is negative")

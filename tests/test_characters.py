@@ -1,5 +1,6 @@
 """Graded characters, branching sums, and dimension formulas."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -98,6 +99,17 @@ def test_weyl_dim_rejects_bad_input():
         weyl_dim(2, (1, 0, 0))
     with pytest.raises(ValueError):
         weyl_dim(2, (-1, -2))
+
+
+def test_weyl_dim_refuses_a_part_that_is_not_integer():
+    # Read without `operator.index`, (2.0, 0) would give the float 10.0 and
+    # (1.5, 0) a misleading "not integral" ArithmeticError.
+    for mu, wrong in [((2.0, 0), "2.0 at position 0"),
+                      ((1.5, 0), "1.5 at position 0"),
+                      ((2, Fraction(1)), "Fraction(1, 1) at position 1")]:
+        with pytest.raises(TypeError, match=re.escape(f"part {wrong} is not an integer")):
+            weyl_dim(2, mu)
+    assert weyl_dim(2, (2, 0)) == 10
 
 
 # Each public entry point as f(family, n, weight); branching is odd-only.

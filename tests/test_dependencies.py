@@ -55,6 +55,14 @@ def test_package_does_not_import_typing():
     assert importers == []
 
 
+def test_package_does_not_import_fractions():
+    """`fractions` loads `decimal` and `numbers` as well; the package's
+    arithmetic is integer only, each quotient closed by one `divmod`."""
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if "fractions" in absolute_imports(path)]
+    assert importers == []
+
+
 def relative_imports(path: Path) -> set[str]:
     """Sibling modules the file imports by ``from . import x`` or ``from .x import``."""
     names = set()
@@ -186,6 +194,7 @@ PLAIN_OUTPUT = {
     ("verify abs --n 1 --max-coeff 1", {"fflv.polytope", "fflv.marked_poset"}),
     ("char --family odd --n 1 --weight 1", {"fflv.polytope", "fflv.characters"}),
     ("verify straightening --n 1", {"fflv.straightening"}),
+    ("verify n1-formula --max-k 4 --max-coeff 3", {"fflv.polytope", "fflv.marked_poset"}),
 ])
 def test_cli_loads_only_the_modules_its_verb_calls(argv, extra):
     loaded = loaded_modules(*argv.split())
@@ -193,6 +202,7 @@ def test_cli_loads_only_the_modules_its_verb_calls(argv, extra):
     assert fflv_modules == {"fflv", "fflv.cli", "fflv.rootsys"} | extra
     assert "dataclasses" not in loaded
     assert "typing" not in loaded
+    assert "fractions" not in loaded and "decimal" not in loaded
     if argv in PLAIN_OUTPUT:
         assert "json" not in loaded
 

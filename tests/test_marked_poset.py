@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import re
+from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
 
@@ -422,6 +424,45 @@ def test_n1_formula_values():
         n1_formula(2, (-1,))
 
 
+def fraction_n1_formula(k, m):
+    """The rank-one product formula as a product of Fractions: an oracle
+    apart from the one integer numerator and denominator of `n1_formula`."""
+    val = Fraction(k + sum(i * x for i, x in enumerate(m, start=1)), k)
+    for i in range(1, k):
+        for j in range(i, k):
+            val *= Fraction(sum(m[i - 1 : j]) + j - i + 1, j - i + 1)
+    assert val.denominator == 1
+    return int(val)
+
+
+def test_n1_formula_matches_fraction_product():
+    checked = 0
+    for k in range(1, 7):
+        for m in product(range(4), repeat=k - 1):
+            value = n1_formula(k, m)
+            assert type(value) is int
+            assert value == fraction_n1_formula(k, m)
+            checked += 1
+    assert checked == sum(4 ** (k - 1) for k in range(1, 7))
+
+
+@pytest.mark.parametrize("call", [
+    n1_formula, lambda k, m: n1_family_poset(k, m, "row1_end")])
+def test_n1_functions_name_a_coefficient_that_is_not_an_integer(call):
+    # Each entry is read before the range checks, so a wrong length or a
+    # negative value does not hide it.
+    for k, m, wrong in [(2, (1.5,), "1.5 at position 0"),
+                        (2, (0.5,), "0.5 at position 0"),
+                        (3, (1, Fraction(1)), "Fraction(1, 1) at position 1"),
+                        (2, (-1.5,), "-1.5 at position 0"),
+                        (3, (0.5,), "0.5 at position 0")]:
+        with pytest.raises(TypeError, match=re.escape(f"coefficient {wrong} is not an integer")):
+            call(k, m)
+    with pytest.raises(TypeError):
+        call(2.0, (1,))
+    assert call(True, ()) == call(1, ())
+
+
 @pytest.mark.parametrize("k, m, message", [
     (0, (), "k must be positive"),
     (-1, (), "k must be positive"),
@@ -436,6 +477,34 @@ def test_n1_functions_check_k_and_m_alike(k, m, message):
     for call in (n1_formula, lambda k, m: n1_family_poset(k, m, "row1_end")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(k, m)
+
+
+def test_n1_attachments_are_the_six_candidates_in_order():
+    assert n1_attachments == ("below_first", "above_first", "parallel_first",
+                              "below_last", "above_last", "row1_end")
+
+
+# sha256 over repr((elements, covers, markings)) of n1_family_poset(k, m, a)
+# for k = 1..5 and every m in {0, 1, 2}^(k-1), in `product` order: the
+# elements, the covers and the markings keep their order, not just their sets.
+N1_POSET_DIGESTS = [
+    ("below_first", "a4a394c489563616747beb2b780bfd4a55e3ae7ecce6cd457e6a69d5761968de"),
+    ("above_first", "63d638c7100ca9a4712c450cf0578ff691b97d565e112d2fdc72dc0f0246d533"),
+    ("parallel_first", "3ace133aaec3195f65a54abb7de766c135d8ed6747cd4750c9e22991cd8005a2"),
+    ("below_last", "5bccdaeffecc45e286cc6244f783005eb1fe45b75e277682ac686ab3946b99bd"),
+    ("above_last", "a0714cecbf47ae9f826938dbb0f138db550a147c426f20cd60aacd5741dd6421"),
+    ("row1_end", "496c0f0452735207eafa30c51cad7d3c32b57299ed5283c7028e87b6da262709"),
+]
+
+
+@pytest.mark.parametrize("attachment, digest", N1_POSET_DIGESTS)
+def test_n1_family_poset_is_pinned(attachment, digest):
+    h = hashlib.sha256()
+    for k in range(1, 6):
+        for m in product(range(3), repeat=k - 1):
+            poset = n1_family_poset(k, m, attachment)
+            h.update(repr((poset.elements, poset.covers, poset.markings)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_n1_family_poset_names_type_a_elements():

@@ -3,6 +3,7 @@
 import ast
 import copy
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,18 @@ def test_wt_deg():
     assert wt_deg(poset, (0, 0, 0, 0, 0, 0)) == ((0, 0, 0), 0)
     with pytest.raises(ValueError):
         wt_deg(poset, (0, 0))
+
+
+def test_wt_deg_refuses_a_point_that_is_not_integer():
+    # The message of `polytope.violated_paths`; a wrong length comes first.
+    poset = build_poset("odd", 1)
+    for point, wrong in [((0.5, 0), "0.5 at position 0"),
+                         ((1, 2.0), "2.0 at position 1")]:
+        with pytest.raises(TypeError, match=re.escape(f"coordinate {wrong} is not an integer")):
+            wt_deg(poset, point)
+    with pytest.raises(ValueError, match="point length"):
+        wt_deg(poset, (0.5,))
+    assert wt_deg(poset, (True, 0)) == ((1, -1), 1)
 
 
 def test_weight_coordinate_conversions():
