@@ -16,16 +16,6 @@ from itertools import combinations_with_replacement, product, tee
 
 from .rootsys import RootLabel, build_poset, dyck_paths
 
-VERIFY_TARGETS = (
-    "minkowski",
-    "abs",
-    "slice",
-    "qchar",
-    "straightening",
-    "n1-formula",
-)
-
-
 def _weight_arg(text: str) -> tuple[int, ...]:
     try:
         weight = tuple(int(x) for x in text.split(","))
@@ -205,8 +195,7 @@ def first_failure(cases) -> tuple[int, dict | None]:
     dict for a failing one.
     """
     instances = 0
-    for case in cases:
-        instances += 1
+    for instances, case in enumerate(cases, start=1):
         if case is not None:
             return instances, case
     return instances, None
@@ -214,9 +203,7 @@ def first_failure(cases) -> tuple[int, dict | None]:
 
 def _outcome(keys: dict, failure) -> dict | None:
     """None for a pass, else the instance's keys and the failure's kind and point."""
-    if failure is None:
-        return None
-    return {**keys, **failure.to_json()}
+    return None if failure is None else {**keys, **failure.to_json()}
 
 
 # One case generator per verify target, in the CLI's instance order.  Each
@@ -282,18 +269,21 @@ def _violating_vectors(engine, path, sigma):
 def straightening_cases(n: int, max_coeff: int):
     from . import straightening
 
+    # The sweep's last vectors have degree n * max_coeff + 1: refuse it
+    # before it builds any case rather than fail there.
+    degree, limit = n * max_coeff + 1, straightening.DEGREE_LIMIT
+    if degree > limit:
+        raise ValueError(f"verify straightening needs n * max_coeff + 1 <= {limit}, "
+                         f"the straightening degree limit; got {degree}")
     engine = straightening.Straightener(n)
-    paths = [
-        p
-        for p in dyck_paths(engine.poset)
-        if p.start == RootLabel(1, 1, False) and p.end.barred
-    ]
+    start = RootLabel(1, 1, False)
+    paths = [p for p in dyck_paths(engine.poset) if p.start == start and p.end.barred]
     # Straightener.verify reads the weight only through its total.  The
     # degree rises with the bound, so verify_many holds one degree's
     # prefixes at a time; tee hands each case to it and to the report.
     cases, shown = tee(
         ((bound,) + (0,) * (n - 1), s, path)
-        for bound in range(n * max_coeff + 1)
+        for bound in range(degree)
         for path in paths
         for s in _violating_vectors(engine, path, bound + 1)
     )
@@ -306,37 +296,35 @@ def straightening_cases(n: int, max_coeff: int):
         }
 
 
+def _n1_outcome(max_k: int, max_coeff: int):
+    """(instances, counterexample) of `n1_report`, its instances summed over
+    the attachments it compares."""
+    from . import marked_poset as mp
+
+    report = mp.n1_report(max_k, max_coeff)
+    first = None if report["passing"] else report["results"][0]["counterexample"]
+    return sum(r["checked"] for r in report["results"]), first
+
+
+# Each verify target: whether it checks the odd family only, and its
+# (instances, counterexample) for the parsed arguments.  The lambdas look
+# the case generators up when called, so one replaced on this module is run.
+_VERIFY = {
+    "minkowski": (False, lambda a: first_failure(minkowski_cases(a.family, a.n, a.max_coeff))),
+    "abs": (False, lambda a: first_failure(abs_cases(a.family, a.n, a.max_coeff))),
+    "slice": (True, lambda a: first_failure(slice_cases(a.n, a.max_coeff))),
+    "qchar": (True, lambda a: first_failure(qchar_cases(a.n, a.max_coeff))),
+    "straightening": (True, lambda a: first_failure(straightening_cases(a.n, a.max_coeff))),
+    "n1-formula": (True, lambda a: _n1_outcome(a.max_k, a.max_coeff)),
+}
+VERIFY_TARGETS = tuple(_VERIFY)
+
+
 def _cmd_verify(args) -> int:
-    target, n, max_coeff = args.target, args.n, args.max_coeff
-    if target in ("minkowski", "abs"):
-        sweep = minkowski_cases if target == "minkowski" else abs_cases
-        return _summary(target, *first_failure(sweep(args.family, n, max_coeff)))
-    if args.family != "odd":
-        raise ValueError(f"verify {target} checks the odd family only")
-    if target == "n1-formula":
-        from . import marked_poset as mp
-
-        # Its instances are summed over the attachments it compares.
-        report = mp.n1_report(args.max_k, max_coeff)
-        instances = sum(r["checked"] for r in report["results"])
-        first = None if report["passing"] else report["results"][0]["counterexample"]
-        return _summary(target, instances, first)
-    if target == "slice":
-        cases = slice_cases(n, max_coeff)
-    elif target == "qchar":
-        cases = qchar_cases(n, max_coeff)
-    else:
-        from .straightening import DEGREE_LIMIT
-
-        # The sweep's last vectors have degree n * max_coeff + 1: refuse it
-        # before the first instance rather than fail there.
-        if n * max_coeff + 1 > DEGREE_LIMIT:
-            raise ValueError(
-                f"verify straightening needs n * max_coeff + 1 <= {DEGREE_LIMIT}, "
-                f"the straightening degree limit; got {n * max_coeff + 1}"
-            )
-        cases = straightening_cases(n, max_coeff)
-    return _summary(target, *first_failure(cases))
+    odd_only, run = _VERIFY[args.target]
+    if odd_only and args.family != "odd":
+        raise ValueError(f"verify {args.target} checks the odd family only")
+    return _summary(args.target, *run(args))
 
 
 def _add_sweep_bounds(parser, max_k_help="largest k"):

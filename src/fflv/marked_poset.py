@@ -319,9 +319,17 @@ def fflv_marked_poset(family: str, n: int, weight: tuple[int, ...]) -> MarkedPos
     return MarkedPoset(tuple(elements), tuple(covers), tuple(markings))
 
 
+def _int_arg(value, name: str) -> int:
+    """value read with `operator.index`; a non-integer raises TypeError naming it."""
+    try:
+        return as_int(value)
+    except TypeError:
+        raise TypeError(f"{name} {value!r} is not an integer") from None
+
+
 def _check_n1_case(k: int, m: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(k, m) read with `operator.index`; raise unless it is a rank-one family case."""
-    k, m = as_int(k), check_ints(m, "coefficient")
+    k, m = _int_arg(k, "k"), check_ints(m, "coefficient")
     if k < 1:
         raise ValueError("k must be positive")
     if len(m) != k - 1:
@@ -419,6 +427,7 @@ def n1_report(max_k: int, max_coeff: int) -> dict:
     Each count is `order_count`, which equals the chain-point count by the
     transfer bijection, so no chain is enumerated.
     """
+    max_k, max_coeff = _int_arg(max_k, "max_k"), _int_arg(max_coeff, "max_coeff")
     if max_k < 1:
         raise ValueError("max_k must be positive")
     if max_coeff < 0:

@@ -59,7 +59,7 @@ from collections import Counter, namedtuple
 from collections.abc import Mapping, Set
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement, starmap
+from itertools import accumulate, combinations_with_replacement, starmap
 from operator import add
 from types import MappingProxyType
 
@@ -70,11 +70,11 @@ from .rootsys import (
     RootPoset,
     Weight,
     _Frozen,
+    _path_bound,
     build_poset,
     check_ints,
     check_weight,
     dyck_paths,
-    path_bound,
 )
 
 
@@ -125,7 +125,7 @@ def inequalities(family: str, n: int, weight: tuple[int, ...]) -> InequalitySyst
     poset = build_poset(family, n)
     paths = dyck_paths(poset)
     rows = tuple(
-        IneqRow(frozenset(p.labels), path_bound(p, weight)) for p in paths
+        IneqRow(frozenset(p.labels), _path_bound(p, weight)) for p in paths
     )
     return InequalitySystem(family, n, weight, rows, paths, poset)
 
@@ -418,10 +418,7 @@ def _walk_plan(family: str, n: int, weight: tuple[int, ...]):
     here.
     """
     poset, floor_at, preds, up_at = _prefix_plan(family, n)
-    prefix = [0]
-    for m in weight:
-        prefix.append(prefix[-1] + m)
-    at = prefix.__getitem__
+    at = list(accumulate(weight, initial=0)).__getitem__
     return poset, list(map(at, floor_at)), preds, list(map(at, up_at))
 
 
@@ -591,7 +588,7 @@ def _decode(code: int, radix: int, length: int) -> LatticePoint:
     return tuple(digits)
 
 
-def _compare(got: Set, want: Set, decode=lambda p: p) -> Counterexample | None:
+def _compare(got: Set, want: Set, decode) -> Counterexample | None:
     """None if got equals want, else the least point of want missing from
     got, else the least extra point of got; only that point is decoded."""
     if got == want:
@@ -716,22 +713,21 @@ def slice_verify(n: int, lam: tuple[int, ...]) -> Counterexample | None:
     the identification is the identity on (row, col) pairs.  The odd points
     come from the walk, the even slice from `_point_codes` with column n+1
     cut: its codes below radix^width are compared with the odd points'
-    codes in the same layout, and only the reported point is decoded.  An
-    odd point with a coordinate outside [0, radix) has no code; then the
-    sides are compared as tuples, and that point is missing from the slice.
+    codes in the same layout, and only the reported point is decoded.  The
+    radix exceeds |lam| and every walked coordinate, so an odd point off the
+    slice has a code and is missing from it; a negative coordinate raises
+    ArithmeticError.
     """
     lam = check_weight("odd", n, lam)
     odd_pts = lattice_points("odd", n, lam)
     labels = build_poset("even", n + 1).labels()
     cut = {k for k, lab in enumerate(labels) if lab.barred and lab.col == n + 1}
-    radix, width = sum(lam) + 1, len(labels) - len(cut)
+    radix = max(set().union((sum(lam),), *odd_pts)) + 1
+    width = len(labels) - len(cut)
     codes = _point_codes("even", n + 1, lam + (0,), radix, cut)
     top = radix ** width
     sliced = {c for c in codes if c < top}
-    try:
-        odd_codes = set(_encode(odd_pts, radix, radix - 1))
-    except ArithmeticError:
-        return _compare({_decode(c, radix, width) for c in sliced}, set(odd_pts))
+    odd_codes = set(_encode(odd_pts, radix, radix - 1))
     return _compare(sliced, odd_codes, lambda code: _decode(code, radix, width))
 
 

@@ -83,7 +83,7 @@ def _check_family_rank(family: str, n: int) -> None:
 def check_weight(family: str, n: int, weight) -> tuple[int, ...]:
     """Validate family, rank n >= 1 and integers m_1, ..., m_n; return them as a tuple."""
     _check_family_rank(family, n)
-    weight = tuple(map(operator.index, weight))
+    weight = check_ints(weight, "fundamental coordinate")
     if len(weight) != n:
         raise ValueError("weight length must equal the rank")
     if any(m < 0 for m in weight):
@@ -297,7 +297,11 @@ def path_bound(path: DyckPath, weight: tuple[int, ...]) -> int:
     Diagonal end alpha_{j,j} gives m_i + ... + m_j, barred end alpha_{j,jbar}
     gives m_i + ... + m_n, where i is the start row.
     """
-    weight = check_weight(path.family, path.n, weight)
+    return _path_bound(path, check_weight(path.family, path.n, weight))
+
+
+def _path_bound(path: DyckPath, weight: tuple[int, ...]) -> int:
+    """`path_bound` for a weight that `check_weight` has already read."""
     i = path.start_row
     if path.end_class == "diagonal":
         return sum(weight[i - 1 : path.end.col])

@@ -563,6 +563,19 @@ def test_n1_report_refuses_a_sweep_that_checks_nothing():
     assert [r["checked"] for r in n1_report(1, 0)["results"]] == [1] * len(n1_attachments)
 
 
+def test_n1_functions_name_an_argument_that_is_not_an_integer():
+    # k, max_k and max_coeff are read before the range checks, so the
+    # message names the argument rather than coming from range().
+    for call, name in [(lambda v: n1_formula(v, (1,)), "k"),
+                       (lambda v: n1_family_poset(v, (1,), "row1_end"), "k"),
+                       (lambda v: n1_report(v, 1), "max_k"),
+                       (lambda v: n1_report(2, v), "max_coeff")]:
+        for wrong in (2.5, -0.5, "2"):
+            with pytest.raises(TypeError, match=re.escape(f"{name} {wrong!r} is not an integer")):
+                call(wrong)
+    assert n1_report(True, False) == n1_report(1, 0)
+
+
 def chain_count_report(max_k, max_coeff):
     """`n1_report` with every count taken as the number of chain points."""
     results = []

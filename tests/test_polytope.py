@@ -478,6 +478,41 @@ def test_public_callers_reject_non_integer_weights():
                 call(weight)
 
 
+def test_non_integer_weight_entry_is_named():
+    # check_weight reads the entries through rootsys.check_ints, so the
+    # message names the entry and its position, before any range check.
+    for weight, wrong in [((1, 1.5), "1.5 at position 1"),
+                          ((0.5, -1), "0.5 at position 0"),
+                          (("1", 1), "'1' at position 0")]:
+        message = re.escape(f"fundamental coordinate {wrong} is not an integer")
+        with pytest.raises(TypeError, match=message):
+            rootsys.check_weight("odd", 2, weight)
+        with pytest.raises(TypeError, match=message):
+            lattice_points("odd", 2, weight)
+    with pytest.raises(ValueError, match="fundamental coordinates must be nonnegative"):
+        lattice_points("odd", 2, (1, -1))
+
+
+def test_inequalities_checks_the_weight_once(monkeypatch):
+    # path_bound checks its weight; inequalities sums the bounds of its
+    # paths through the unchecked core instead.
+    calls = []
+    real = rootsys.check_weight
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rootsys, "check_weight", spy)
+    monkeypatch.setattr(polytope, "check_weight", spy)
+    system = inequalities("odd", 3, [1, 2, 0])
+    assert calls == [("odd", 3, [1, 2, 0])]
+    assert len(system.rows) == len(rootsys.dyck_paths(system.poset)) > 1
+    for path, row in zip(system.paths, system.rows):
+        assert row.bound == rootsys.path_bound(path, (1, 2, 0))
+    assert len(calls) == 1 + len(system.paths)
+
+
 def test_point_counts_frozen():
     table = {
         ("odd", 1, (1,)): 3,
@@ -874,11 +909,28 @@ def test_slice_reports_missing_point(monkeypatch):
 
 
 def test_slice_reports_point_beyond_radix(monkeypatch):
-    # The even side's radix is |lam| + 1 = 2, so (2, 0) has no code; the
-    # sides are compared as tuples, and the planted point is reported.
+    # A correct walk gives the radix |lam| + 1 = 2; the planted (2, 0)
+    # raises it to 3, so the point still has a code and is reported.
     with monkeypatch.context() as m:
         patch_points(m, (1,), lambda pts: pts + [(2, 0)])
         assert slice_verify(1, (1,)) == Counterexample("missing", (2, 0))
+
+
+def test_slice_refuses_a_negative_walked_coordinate(monkeypatch):
+    # A negative digit has no mixed-radix code, as in minkowski_sweep.
+    with monkeypatch.context() as m:
+        patch_points(m, (1,), lambda pts: pts + [(-1, 0)])
+        with pytest.raises(ArithmeticError, match="outside"):
+            slice_verify(1, (1,))
+
+
+def test_slice_with_an_empty_walk_reports_the_first_slice_point(monkeypatch):
+    # The radix falls back to |lam| + 1 when no coordinate is walked.
+    for n, lam in ((1, (1,)), (2, (1, 1)), (2, (0, 0))):
+        with monkeypatch.context() as m:
+            patch_points(m, lam, lambda pts: [])
+            first = min(reference_slice(n, lam))
+            assert slice_verify(n, lam) == Counterexample("extra", first)
 
 
 def reference_slice(n, lam):
